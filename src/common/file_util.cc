@@ -5,6 +5,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -15,12 +16,29 @@ Result<std::string> ReadFileToString(const std::string& path) {
   if (f == nullptr) {
     return Status::IoError("cannot open '" + path + "' for reading");
   }
-  std::string out;
+  // Reads go straight into the destination, not through a stdio buffer.
+  std::setvbuf(f, nullptr, _IONBF, 0);
+  size_t size_hint = 0;
+#if defined(__unix__) || defined(__APPLE__)
+  struct stat st;
+  if (::fstat(fileno(f), &st) == 0 && S_ISREG(st.st_mode)) {
+    size_hint = static_cast<size_t>(st.st_size);
+  }
+#endif
+  // One allocation at the stat'ed size, filled in place. The size is only a
+  // hint — /proc files report 0 and a file can change while it is read — so
+  // reading continues to EOF either way.
+  std::string out(size_hint, '\0');
+  size_t len = 0;
+  while (len < out.size()) {
+    size_t n = std::fread(out.data() + len, 1, out.size() - len, f);
+    if (n == 0) break;
+    len += n;
+  }
+  out.resize(len);
   char buf[1 << 16];
   size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.append(buf, n);
-  }
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
   bool had_error = std::ferror(f) != 0;
   std::fclose(f);
   if (had_error) return Status::IoError("read error on '" + path + "'");
@@ -28,6 +46,11 @@ Result<std::string> ReadFileToString(const std::string& path) {
 }
 
 Status WriteStringToFile(const std::string& path, std::string_view content) {
+  return WriteStringsToFile(path, {content});
+}
+
+Status WriteStringsToFile(const std::string& path,
+                          const std::vector<std::string_view>& pieces) {
   std::error_code ec;
   std::filesystem::path p(path);
   if (p.has_parent_path()) {
@@ -37,8 +60,14 @@ Status WriteStringToFile(const std::string& path, std::string_view content) {
   if (f == nullptr) {
     return Status::IoError("cannot open '" + path + "' for writing");
   }
-  size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  bool had_error = std::ferror(f) != 0 || written != content.size();
+  bool had_error = false;
+  for (std::string_view piece : pieces) {
+    if (std::fwrite(piece.data(), 1, piece.size(), f) != piece.size()) {
+      had_error = true;
+      break;
+    }
+  }
+  if (std::ferror(f) != 0) had_error = true;
   if (std::fclose(f) != 0) had_error = true;
   if (had_error) return Status::IoError("write error on '" + path + "'");
   return Status::Ok();

@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 
@@ -13,6 +14,11 @@ Result<std::string> ReadFileToString(const std::string& path);
 
 /// Writes `content` to `path`, creating parent directories.
 Status WriteStringToFile(const std::string& path, std::string_view content);
+
+/// Writes the concatenation of `pieces` to `path`, in order, without first
+/// gathering them into one buffer.
+Status WriteStringsToFile(const std::string& path,
+                          const std::vector<std::string_view>& pieces);
 
 /// Crash-atomic write: `content` goes to `path + ".tmp"`, is fsync'd, and
 /// is renamed over `path` (then the parent directory is fsync'd so the

@@ -75,7 +75,7 @@ Sample RowRef::Materialize() const { return dataset_->MaterializeRow(row_); }
 
 Dataset Dataset::FromSamples(std::vector<Sample> samples) {
   Dataset ds;
-  for (const Sample& s : samples) ds.AppendSample(s);
+  for (Sample& s : samples) ds.AppendSample(std::move(s));
   return ds;
 }
 
@@ -184,18 +184,23 @@ Sample Dataset::MaterializeRow(size_t row) const {
 }
 
 void Dataset::AppendSample(const Sample& sample) {
+  AppendSample(Sample(sample));
+}
+
+void Dataset::AppendSample(Sample&& sample) {
+  json::Object& fields = sample.fields();
   // Extend existing columns with this row's values (or null).
   for (auto& col : columns_) {
-    const json::Value* v = sample.fields().Find(col.name);
-    col.cells.push_back(v != nullptr ? *v : json::Value(nullptr));
+    json::Value* v = fields.Find(col.name);
+    col.cells.push_back(v != nullptr ? std::move(*v) : json::Value(nullptr));
   }
   // Any new top-level keys become new columns, backfilled with nulls.
-  for (const auto& [key, value] : sample.fields().entries()) {
+  for (auto& [key, value] : fields.entries()) {
     if (FindColumn(key) != nullptr) continue;
     ColumnData col;
-    col.name = key;
+    col.name = std::move(key);
     col.cells.assign(num_rows_, json::Value(nullptr));
-    col.cells.push_back(value);
+    col.cells.push_back(std::move(value));
     columns_.push_back(std::move(col));
   }
   ++num_rows_;

@@ -112,8 +112,10 @@ class Dataset {
                      double def = 0.0) const;
   /// Materializes row `row` into a Sample copy.
   Sample MaterializeRow(size_t row) const;
-  /// Appends one row from a Sample (missing columns are added).
+  /// Appends one row from a Sample (missing columns are added). The rvalue
+  /// overload moves the cells in; the const one copies the sample first.
   void AppendSample(const Sample& sample);
+  void AppendSample(Sample&& sample);
 
   /// Runs `fn` over every row, optionally in parallel on `pool`. Errors from
   /// any row abort the map and the first error is returned; remaining chunks

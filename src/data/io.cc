@@ -50,12 +50,54 @@ enum : uint8_t {
   kTagObject = 7,
 };
 
-void PutVarint(uint64_t v, std::string* out) {
+// Byte sinks of the binary encoder. Each encoder below is one template over
+// its sink: a CountingSink run yields the exact size of the bytes a writing
+// sink run emits, so a buffer sized by the one is filled exactly by the
+// other and the two cannot drift apart.
+
+/// Measures instead of writing.
+class CountingSink {
+ public:
+  void Put(char) { ++size_; }
+  void Append(const char*, size_t n) { size_ += n; }
+  size_t size() const { return size_; }
+
+ private:
+  size_t size_ = 0;
+};
+
+/// Appends to a growing string (SerializeValue, the v1 writer).
+class StringSink {
+ public:
+  explicit StringSink(std::string* out) : out_(out) {}
+  void Put(char c) { out_->push_back(c); }
+  void Append(const char* p, size_t n) { out_->append(p, n); }
+
+ private:
+  std::string* out_;
+};
+
+/// Writes into memory a CountingSink run has already sized.
+class BufferSink {
+ public:
+  explicit BufferSink(char* at) : at_(at) {}
+  void Put(char c) { *at_++ = c; }
+  void Append(const char* p, size_t n) {
+    std::memcpy(at_, p, n);
+    at_ += n;
+  }
+
+ private:
+  char* at_;
+};
+
+template <typename Sink>
+void PutVarint(uint64_t v, Sink* out) {
   while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
+    out->Put(static_cast<char>((v & 0x7F) | 0x80));
     v >>= 7;
   }
-  out->push_back(static_cast<char>(v));
+  out->Put(static_cast<char>(v));
 }
 
 bool GetVarint(std::string_view bytes, size_t* pos, uint64_t* out) {
@@ -74,9 +116,10 @@ bool GetVarint(std::string_view bytes, size_t* pos, uint64_t* out) {
   return false;
 }
 
-void PutString(std::string_view s, std::string* out) {
+template <typename Sink>
+void PutString(std::string_view s, Sink* out) {
   PutVarint(s.size(), out);
-  out->append(s);
+  out->Append(s.data(), s.size());
 }
 
 bool GetString(std::string_view bytes, size_t* pos, std::string* out) {
@@ -90,9 +133,83 @@ bool GetString(std::string_view bytes, size_t* pos, std::string* out) {
   return true;
 }
 
-void PutU64Fixed(uint64_t v, std::string* out) {
+template <typename Sink>
+void PutU64Fixed(uint64_t v, Sink* out) {
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    out->Put(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+template <typename Sink>
+void EncodeValue(const json::Value& v, Sink* out) {
+  switch (v.type()) {
+    case json::Value::Type::kNull:
+      out->Put(static_cast<char>(kTagNull));
+      break;
+    case json::Value::Type::kBool:
+      out->Put(static_cast<char>(v.as_bool() ? kTagTrue : kTagFalse));
+      break;
+    case json::Value::Type::kInt: {
+      out->Put(static_cast<char>(kTagInt));
+      int64_t x = v.as_int();
+      uint64_t zz = (static_cast<uint64_t>(x) << 1) ^
+                    static_cast<uint64_t>(x >> 63);
+      PutVarint(zz, out);
+      break;
+    }
+    case json::Value::Type::kDouble: {
+      out->Put(static_cast<char>(kTagDouble));
+      double d = v.as_double();
+      char buf[8];
+      std::memcpy(buf, &d, 8);
+      out->Append(buf, 8);
+      break;
+    }
+    case json::Value::Type::kString:
+      out->Put(static_cast<char>(kTagString));
+      PutString(v.as_string(), out);
+      break;
+    case json::Value::Type::kArray: {
+      out->Put(static_cast<char>(kTagArray));
+      PutVarint(v.as_array().size(), out);
+      for (const auto& e : v.as_array()) EncodeValue(e, out);
+      break;
+    }
+    case json::Value::Type::kObject: {
+      out->Put(static_cast<char>(kTagObject));
+      PutVarint(v.as_object().size(), out);
+      for (const auto& [key, value] : v.as_object().entries()) {
+        PutString(key, out);
+        EncodeValue(value, out);
+      }
+      break;
+    }
+  }
+}
+
+/// One row-range shard of the v3 container, as its shard table entry.
+struct ShardEntry {
+  size_t rows = 0;
+  size_t length = 0;
+  uint64_t checksum = 0;
+};
+
+/// The v3 header up to (not including) its checksum: magic, version, row
+/// and column counts, column names, and the shard table. Checksums are
+/// fixed-width, so the header's size does not depend on their values.
+template <typename Sink>
+void EncodeHeaderV3(size_t num_rows, const std::vector<std::string>& names,
+                    const std::vector<ShardEntry>& shards, Sink* out) {
+  out->Append(kDatasetMagic, 4);
+  out->Put(static_cast<char>(kDatasetVersionV3));
+  PutVarint(num_rows, out);
+  PutVarint(names.size(), out);
+  for (const std::string& name : names) PutString(name, out);
+  PutVarint(shards.size(), out);
+  for (const ShardEntry& shard : shards) {
+    PutVarint(shard.rows, out);
+    PutVarint(shard.length, out);
+    PutU64Fixed(shard.checksum, out);
   }
 }
 
@@ -213,68 +330,43 @@ void RecordIoMetrics(const char* op, uint64_t rows, uint64_t bytes,
   m->GetGauge("simd.kernel")->Set(swar::ActiveLevelMetric());
 }
 
-/// Serial JSONL parser core over one chunk. Lines are numbered from
-/// `base_lineno + 1` so chunked parses report the same line numbers the
-/// serial parse would.
-Status ParseJsonlChunk(std::string_view content, size_t base_lineno,
-                       Dataset* ds) {
-  size_t lineno = base_lineno;
-  size_t start = 0;
-  while (start < content.size()) {
-    size_t eol = content.find('\n', start);
-    std::string_view line = eol == std::string_view::npos
-                                ? content.substr(start)
-                                : content.substr(start, eol - start);
-    start = eol == std::string_view::npos ? content.size() : eol + 1;
-    ++lineno;
-    std::string_view body = StripAsciiWhitespace(line);
-    if (body.empty()) continue;
-    auto r = json::ParseStrict(body);
-    if (!r.ok()) {
-      return Status::Corruption("jsonl line " + std::to_string(lineno) + ": " +
-                                r.status().message());
-    }
-    if (!r.value().is_object()) {
-      return Status::Corruption("jsonl line " + std::to_string(lineno) +
-                                ": expected an object");
-    }
-    ds->AppendSample(Sample(std::move(r.value().as_object())));
-  }
-  return Status::Ok();
-}
+/// One newline-aligned piece of a JSONL buffer and what parsing it left.
+struct JsonlChunk {
+  std::string_view bytes;
+  Dataset rows;
+  size_t newlines = 0;    // '\n' bytes in the chunk
+  Status status;          // the chunk's first error, if any
+  size_t error_line = 0;  // its line, 1-based from the chunk's first line
+};
 
-/// Stage 2 of the two-stage JSONL parse: walks the byte range
-/// [range_begin, range_end) of `content` using the structural index built
-/// by stage 1 (swar::StructuralScan over the whole buffer). `newlines`
-/// bounds lines without re-scanning bytes; the `quotes_escapes` positions
-/// falling inside each line drive the indexed field extractor. Any line the
-/// fast path cannot handle is re-parsed with json::ParseStrict so accepted
-/// values and error messages are identical to the byte-wise parser.
-///
-/// `nl_cursor` must index the first entry of `newlines` that is >=
-/// range_begin; because chunks are cut right after a newline, that is also
-/// the number of newlines before the chunk, i.e. the base line number.
-Status ParseJsonlIndexedRange(std::string_view content, size_t range_begin,
-                              size_t range_end, size_t nl_cursor,
-                              const std::vector<uint32_t>& newlines,
-                              const std::vector<uint32_t>& quotes_escapes,
-                              Dataset* ds) {
-  size_t lineno = nl_cursor;
-  size_t start = range_begin;
-  size_t nl_i = nl_cursor;
-  size_t qe_i = static_cast<size_t>(
-      std::lower_bound(quotes_escapes.begin(), quotes_escapes.end(),
-                       static_cast<uint32_t>(range_begin)) -
-      quotes_escapes.begin());
-  while (start < range_end) {
-    size_t eol = nl_i < newlines.size() && newlines[nl_i] < range_end
-                     ? static_cast<size_t>(newlines[nl_i])
-                     : range_end;
+/// Parses one chunk in two stages. Stage 1 (swar::StructuralScan) indexes
+/// every '\n', '"' and '\\' of the chunk, positions relative to its first
+/// byte. Stage 2 bounds lines by the newline index and hands each line the
+/// quote/escape positions inside it, so the indexed field extractor never
+/// scans bytes to find structure. A line the fast path cannot handle is
+/// re-parsed with json::ParseStrict, so accepted values and error messages
+/// are exactly the byte-wise parser's.
+void IndexAndParseChunk(JsonlChunk* chunk) {
+  const std::string_view content = chunk->bytes;
+  // Reserves sized to typical JSONL (one quote per ~25 bytes of text, lines
+  // a few hundred bytes) keep the push_backs from doubling the vectors.
+  std::vector<uint32_t> newlines;
+  std::vector<uint32_t> quotes_escapes;
+  newlines.reserve(content.size() / 256 + 16);
+  quotes_escapes.reserve(content.size() / 24 + 16);
+  swar::StructuralScan(content.data(), content.size(), &newlines,
+                       &quotes_escapes);
+  chunk->newlines = newlines.size();
+
+  size_t lineno = 0;
+  size_t start = 0;
+  size_t qe_i = 0;
+  for (size_t nl_i = 0; start < content.size(); ++nl_i) {
+    const size_t eol =
+        nl_i < newlines.size() ? newlines[nl_i] : content.size();
     std::string_view line = content.substr(start, eol - start);
-    size_t next = eol < range_end ? eol + 1 : range_end;
-    if (eol < range_end) ++nl_i;
+    start = eol + 1;
     ++lineno;
-    start = next;
     std::string_view body = StripAsciiWhitespace(line);
     if (body.empty()) continue;
     const size_t body_begin =
@@ -294,35 +386,43 @@ Status ParseJsonlIndexedRange(std::string_view content, size_t range_begin,
     if (!fast) {
       auto r = json::ParseStrict(body);
       if (!r.ok()) {
-        return Status::Corruption("jsonl line " + std::to_string(lineno) +
-                                  ": " + r.status().message());
+        chunk->status = r.status();
+        chunk->error_line = lineno;
+        return;
       }
       v = std::move(r.value());
     }
     if (!v.is_object()) {
-      return Status::Corruption("jsonl line " + std::to_string(lineno) +
-                                ": expected an object");
+      chunk->status = Status::Corruption("expected an object");
+      chunk->error_line = lineno;
+      return;
     }
-    ds->AppendSample(Sample(std::move(v.as_object())));
+    chunk->rows.AppendSample(Sample(std::move(v.as_object())));
   }
-  return Status::Ok();
 }
 
-/// Splits `content` into up to `target_chunks` ranges cut at newline
-/// boundaries. Every byte lands in exactly one range.
-std::vector<std::string_view> SplitAtNewlines(std::string_view content,
-                                              size_t target_chunks) {
-  std::vector<std::string_view> chunks;
+/// Cuts `content` right after raw '\n' bytes into about `target` chunks of
+/// similar size. A raw newline never sits inside a valid JSON string, so
+/// every such cut is safe. Chunk positions are indexed as uint32_t, so the
+/// target grows until each share is at most 2 GiB: a chunk then stays
+/// under 4 GiB unless one line alone is over 2 GiB long.
+std::vector<JsonlChunk> CutJsonlChunks(std::string_view content,
+                                       size_t target) {
+  constexpr size_t kMaxShare = size_t{1} << 31;
+  target = std::max(target, (content.size() + kMaxShare - 1) / kMaxShare);
+  std::vector<JsonlChunk> chunks;
   size_t begin = 0;
-  for (size_t i = 1; i < target_chunks && begin < content.size(); ++i) {
-    size_t target = content.size() * i / target_chunks;
-    if (target <= begin) continue;
-    size_t cut = content.find('\n', target);
+  for (size_t i = 1; i < target && begin < content.size(); ++i) {
+    const size_t at = content.size() * i / target;
+    if (at <= begin) continue;
+    const size_t cut = content.find('\n', at);
     if (cut == std::string_view::npos) break;
-    chunks.push_back(content.substr(begin, cut + 1 - begin));
+    chunks.emplace_back().bytes = content.substr(begin, cut + 1 - begin);
     begin = cut + 1;
   }
-  if (begin < content.size()) chunks.push_back(content.substr(begin));
+  if (begin < content.size()) {
+    chunks.emplace_back().bytes = content.substr(begin);
+  }
   return chunks;
 }
 
@@ -473,8 +573,16 @@ Result<Dataset> DeserializeDatasetV2(std::string_view bytes, ThreadPool* pool,
     cursor += shard.length;
   }
 
-  // Decode shards concurrently, each into its own per-column cell vectors.
-  std::vector<std::vector<std::vector<json::Value>>> shard_cols(num_shards);
+  // Every cell costs at least one tag byte: a row count beyond that is
+  // corrupt, and must not drive the column allocation below.
+  if (!col_names.empty() && num_rows > payload_total / col_names.size()) {
+    return Status::Corruption("DJDS row count exceeds payload");
+  }
+
+  // Whole columns are allocated once; shards decode concurrently straight
+  // into their own row ranges, so nothing is gathered afterwards.
+  std::vector<std::vector<json::Value>> cols(col_names.size());
+  for (auto& col : cols) col.resize(num_rows);
   std::vector<Status> errors(num_shards, Status::Ok());
   auto decode_range = [&](size_t begin, size_t end) {
     for (size_t s = begin; s < end; ++s) {
@@ -484,44 +592,47 @@ Result<Dataset> DeserializeDatasetV2(std::string_view bytes, ThreadPool* pool,
         errors[s] = Status::Corruption("DJDS shard checksum mismatch");
         continue;
       }
-      std::vector<std::vector<json::Value>> cols(col_names.size());
       size_t p = 0;
       Status status;
-      for (size_t c = 0; c < col_names.size() && status.ok(); ++c) {
-        cols[c].reserve(shards[s].row_count);
-        for (size_t r = 0; r < shards[s].row_count; ++r) {
-          json::Value v;
-          status = DeserializeValueAt(payload, &p, &v, 0);
-          if (!status.ok()) break;
-          cols[c].push_back(std::move(v));
+      for (size_t c = 0; c < cols.size() && status.ok(); ++c) {
+        json::Value* cells = cols[c].data() + shards[s].row_begin;
+        for (size_t r = 0; r < shards[s].row_count && status.ok(); ++r) {
+          status = DeserializeValueAt(payload, &p, &cells[r], 0);
         }
       }
       if (status.ok() && p != payload.size()) {
         status = Status::Corruption("trailing bytes in DJDS shard");
       }
-      if (!status.ok()) {
-        errors[s] = std::move(status);
-        continue;
-      }
-      shard_cols[s] = std::move(cols);
+      errors[s] = std::move(status);
     }
   };
   MaybeParallelFor(pool, num_shards, decode_range);
   for (Status& s : errors) {
     if (!s.ok()) return std::move(s);
   }
+  return Dataset::FromColumns(std::move(col_names), std::move(cols));
+}
 
-  // Ordered gather: move shard cells into whole columns.
-  std::vector<std::vector<json::Value>> cols(col_names.size());
-  for (size_t c = 0; c < col_names.size(); ++c) {
-    cols[c].reserve(num_rows);
-    for (size_t s = 0; s < num_shards; ++s) {
-      auto& cells = shard_cols[s][c];
-      cols[c].insert(cols[c].end(), std::make_move_iterator(cells.begin()),
-                     std::make_move_iterator(cells.end()));
+/// WriteFile over content held in ordered pieces; the fault points see the
+/// concatenation.
+Status WriteFilePieces(const std::string& path,
+                       std::vector<std::string_view> pieces) {
+  if (DJ_FAULT("io.write.fail")) {
+    return Status::IoError("fault injected: io.write.fail on '" + path + "'");
+  }
+  if (DJ_FAULT("io.write.short")) {
+    // Torn write: persist only a prefix and report success — the crash that
+    // truncated the file is only discoverable on the read path, which is
+    // exactly what the container formats must survive.
+    size_t keep = 0;
+    for (std::string_view piece : pieces) keep += piece.size();
+    keep = keep * 2 / 3;
+    for (std::string_view& piece : pieces) {
+      piece = piece.substr(0, keep);
+      keep -= piece.size();
     }
   }
-  return Dataset::FromColumns(std::move(col_names), std::move(cols));
+  return WriteStringsToFile(path, pieces);
 }
 
 }  // namespace
@@ -544,128 +655,50 @@ Result<std::string> ReadFile(const std::string& path) {
 }
 
 Status WriteFile(const std::string& path, std::string_view content) {
-  if (DJ_FAULT("io.write.fail")) {
-    return Status::IoError("fault injected: io.write.fail on '" + path + "'");
-  }
-  if (DJ_FAULT("io.write.short")) {
-    // Torn write: persist only a prefix and report success — the crash that
-    // truncated the file is only discoverable on the read path, which is
-    // exactly what the container formats must survive.
-    return WriteStringToFile(path, content.substr(0, content.size() * 2 / 3));
-  }
-  return WriteStringToFile(path, content);
+  return WriteFilePieces(path, {content});
 }
 
 Result<Dataset> ParseJsonl(std::string_view content, ThreadPool* pool) {
   DJ_OBS_SPAN("io.parse_jsonl");
   Stopwatch watch;
-  // The structural index stores uint32_t positions; inputs past 4 GiB take
-  // the byte-wise path (semantics identical, just unindexed).
-  if (content.size() > std::numeric_limits<uint32_t>::max()) {
-    if (pool == nullptr || pool->num_threads() <= 1) {
-      Dataset ds;
-      DJ_RETURN_IF_ERROR(ParseJsonlChunk(content, 0, &ds));
-      RecordIoMetrics("parse", ds.NumRows(), content.size(),
-                      watch.ElapsedSeconds());
-      return ds;
-    }
-    std::vector<std::string_view> chunks =
-        SplitAtNewlines(content, pool->num_threads());
-    // Chunk i's absolute starting line = lines in the chunks before it.
-    std::vector<size_t> base_lines(chunks.size(), 0);
-    for (size_t i = 1; i < chunks.size(); ++i) {
-      base_lines[i] =
-          base_lines[i - 1] +
-          static_cast<size_t>(
-              std::count(chunks[i - 1].begin(), chunks[i - 1].end(), '\n'));
-    }
-    std::vector<Dataset> parts(chunks.size());
-    std::vector<Status> errors(chunks.size(), Status::Ok());
-    pool->ParallelFor(chunks.size(), [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        errors[i] = ParseJsonlChunk(chunks[i], base_lines[i], &parts[i]);
+  const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
+                        content.size() >= kParallelParseThreshold;
+  std::vector<JsonlChunk> chunks =
+      CutJsonlChunks(content, parallel ? pool->num_threads() : 1);
+  auto parse_range = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      if (chunks[i].bytes.size() > std::numeric_limits<uint32_t>::max()) {
+        chunks[i].status = Status::Corruption(
+            "a line at or after this one is over 2 GiB long, past what the "
+            "32-bit structural index can address");
+        chunks[i].error_line = 1;
+        continue;
       }
-    });
+      IndexAndParseChunk(&chunks[i]);
+    }
+  };
+  if (parallel && chunks.size() > 1) {
+    pool->ParallelFor(chunks.size(), parse_range);
     DJ_SCHED_POINT("io.parse.gather");
     introspect::Heartbeat();
-    for (Status& s : errors) {
-      if (!s.ok()) return std::move(s);
+  } else {
+    parse_range(0, chunks.size());
+  }
+  // Report the earliest failing line with its absolute line number: a
+  // chunk's first line follows every newline of the chunks before it.
+  size_t base_line = 0;
+  for (const JsonlChunk& chunk : chunks) {
+    if (!chunk.status.ok()) {
+      return Status::Corruption(
+          "jsonl line " + std::to_string(base_line + chunk.error_line) +
+          ": " + chunk.status.message());
     }
-    Dataset out = std::move(parts.front());
-    for (size_t i = 1; i < parts.size(); ++i) out.Concat(std::move(parts[i]));
-    RecordIoMetrics("parse", out.NumRows(), content.size(),
-                    watch.ElapsedSeconds());
-    return out;
+    base_line += chunk.newlines;
   }
-
-  // Stage 1: one wordwise pass finds every '\n', '"', and '\\'. Stage 2
-  // (ParseJsonlIndexedRange) then never scans bytes to find structure.
-  // Reserves sized to typical JSONL (one quote per ~25 bytes of text, lines
-  // a few hundred bytes) keep the hundreds of thousands of push_backs from
-  // doubling the vectors mid-scan.
-  std::vector<uint32_t> newlines;
-  std::vector<uint32_t> quotes_escapes;
-  newlines.reserve(content.size() / 256 + 16);
-  quotes_escapes.reserve(content.size() / 24 + 16);
-  swar::StructuralScan(content.data(), content.size(), &newlines,
-                       &quotes_escapes);
-
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      content.size() < kParallelParseThreshold) {
-    Dataset ds;
-    DJ_RETURN_IF_ERROR(ParseJsonlIndexedRange(content, 0, content.size(), 0,
-                                              newlines, quotes_escapes, &ds));
-    RecordIoMetrics("parse", ds.NumRows(), content.size(),
-                    watch.ElapsedSeconds());
-    return ds;
+  Dataset out = chunks.empty() ? Dataset() : std::move(chunks.front().rows);
+  for (size_t i = 1; i < chunks.size(); ++i) {
+    out.Concat(std::move(chunks[i].rows));
   }
-
-  // Parallel path: cut chunks right after the newline at/past each even
-  // byte target, located in the index instead of via find('\n'). A chunk's
-  // newline cursor doubles as its base line number (newlines before it).
-  struct ChunkInfo {
-    size_t begin;
-    size_t end;
-    size_t nl_cursor;
-  };
-  std::vector<ChunkInfo> chunks;
-  const size_t target_chunks = pool->num_threads();
-  size_t begin = 0;
-  size_t nl_cursor = 0;
-  for (size_t i = 1; i < target_chunks && begin < content.size(); ++i) {
-    size_t target = content.size() * i / target_chunks;
-    if (target <= begin) continue;
-    size_t j = static_cast<size_t>(
-        std::lower_bound(newlines.begin() + nl_cursor, newlines.end(),
-                         static_cast<uint32_t>(target)) -
-        newlines.begin());
-    if (j >= newlines.size()) break;
-    size_t cut = static_cast<size_t>(newlines[j]) + 1;
-    chunks.push_back({begin, cut, nl_cursor});
-    begin = cut;
-    nl_cursor = j + 1;
-  }
-  if (begin < content.size()) {
-    chunks.push_back({begin, content.size(), nl_cursor});
-  }
-  std::vector<Dataset> parts(chunks.size());
-  std::vector<Status> errors(chunks.size(), Status::Ok());
-  pool->ParallelFor(chunks.size(), [&](size_t cbegin, size_t cend) {
-    for (size_t i = cbegin; i < cend; ++i) {
-      errors[i] =
-          ParseJsonlIndexedRange(content, chunks[i].begin, chunks[i].end,
-                                 chunks[i].nl_cursor, newlines, quotes_escapes,
-                                 &parts[i]);
-    }
-  });
-  DJ_SCHED_POINT("io.parse.gather");
-  introspect::Heartbeat();
-  // Report the earliest failing line, matching the serial parse.
-  for (Status& s : errors) {
-    if (!s.ok()) return std::move(s);
-  }
-  Dataset out = parts.empty() ? Dataset() : std::move(parts.front());
-  for (size_t i = 1; i < parts.size(); ++i) out.Concat(std::move(parts[i]));
   RecordIoMetrics("parse", out.NumRows(), content.size(),
                   watch.ElapsedSeconds());
   return out;
@@ -680,7 +713,12 @@ Result<Dataset> ReadJsonl(const std::string& path, ThreadPool* pool) {
   return r;
 }
 
-std::string ToJsonl(const Dataset& dataset, ThreadPool* pool) {
+namespace {
+
+/// The JSONL text of `dataset` as ordered parts: one part serially, fixed
+/// row-range chunks (independent of scheduling) stringified concurrently on
+/// a pool. Concatenated, the parts are the same bytes either way.
+std::vector<std::string> JsonlParts(const Dataset& dataset, ThreadPool* pool) {
   DJ_OBS_SPAN("io.to_jsonl");
   Stopwatch watch;
   const size_t rows = dataset.NumRows();
@@ -726,86 +764,54 @@ std::string ToJsonl(const Dataset& dataset, ThreadPool* pool) {
     }
     est_row_bytes = probe.size() / samples + 16;
   }
-  std::string out;
-  if (pool == nullptr || pool->num_threads() <= 1 || rows < 2) {
-    out.reserve(est_row_bytes * rows + 64);
-    stringify_rows(0, rows, &out);
-  } else {
-    // Fixed chunking (independent of scheduling) + ordered gather.
-    const size_t chunks = std::min(rows, pool->num_threads() * 4);
-    const size_t per = (rows + chunks - 1) / chunks;
-    std::vector<std::string> parts(chunks);
-    pool->ParallelFor(chunks, [&](size_t begin, size_t end) {
-      for (size_t c = begin; c < end; ++c) {
-        const size_t row_begin = c * per;
-        const size_t row_end = std::min(rows, (c + 1) * per);
-        if (row_begin >= row_end) continue;
-        parts[c].reserve(est_row_bytes * (row_end - row_begin) + 64);
-        stringify_rows(row_begin, row_end, &parts[c]);
-      }
-    });
+  const size_t chunks = pool == nullptr || pool->num_threads() <= 1 || rows < 2
+                            ? 1
+                            : std::min(rows, pool->num_threads() * 4);
+  const size_t per = (rows + chunks - 1) / chunks;
+  std::vector<std::string> parts(chunks);
+  auto stringify_chunks = [&](size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      const size_t row_begin = std::min(rows, c * per);
+      const size_t row_end = std::min(rows, (c + 1) * per);
+      parts[c].reserve(est_row_bytes * (row_end - row_begin) + 64);
+      stringify_rows(row_begin, row_end, &parts[c]);
+    }
+  };
+  if (chunks > 1) {
+    pool->ParallelFor(chunks, stringify_chunks);
     DJ_SCHED_POINT("io.to_jsonl.gather");
     introspect::Heartbeat();
-    size_t total = 0;
-    for (const std::string& p : parts) total += p.size();
-    out.reserve(total);
-    for (const std::string& p : parts) out += p;
+  } else {
+    stringify_chunks(0, chunks);
   }
-  RecordIoMetrics("to_jsonl", rows, out.size(), watch.ElapsedSeconds());
+  size_t total = 0;
+  for (const std::string& p : parts) total += p.size();
+  RecordIoMetrics("to_jsonl", rows, total, watch.ElapsedSeconds());
+  return parts;
+}
+
+}  // namespace
+
+std::string ToJsonl(const Dataset& dataset, ThreadPool* pool) {
+  std::vector<std::string> parts = JsonlParts(dataset, pool);
+  if (parts.size() == 1) return std::move(parts.front());
+  size_t total = 0;
+  for (const std::string& p : parts) total += p.size();
+  std::string out;
+  out.reserve(total);
+  for (const std::string& p : parts) out += p;
   return out;
 }
 
 Status WriteJsonl(const Dataset& dataset, const std::string& path,
                   ThreadPool* pool) {
-  return WriteFile(path, ToJsonl(dataset, pool));
+  const std::vector<std::string> parts = JsonlParts(dataset, pool);
+  return WriteFilePieces(path, {parts.begin(), parts.end()});
 }
 
 void SerializeValue(const json::Value& v, std::string* out) {
-  switch (v.type()) {
-    case json::Value::Type::kNull:
-      out->push_back(static_cast<char>(kTagNull));
-      break;
-    case json::Value::Type::kBool:
-      out->push_back(static_cast<char>(v.as_bool() ? kTagTrue : kTagFalse));
-      break;
-    case json::Value::Type::kInt: {
-      out->push_back(static_cast<char>(kTagInt));
-      int64_t x = v.as_int();
-      uint64_t zz = (static_cast<uint64_t>(x) << 1) ^
-                    static_cast<uint64_t>(x >> 63);
-      PutVarint(zz, out);
-      break;
-    }
-    case json::Value::Type::kDouble: {
-      out->push_back(static_cast<char>(kTagDouble));
-      double d = v.as_double();
-      uint64_t bits;
-      std::memcpy(&bits, &d, 8);
-      char buf[8];
-      std::memcpy(buf, &bits, 8);
-      out->append(buf, 8);
-      break;
-    }
-    case json::Value::Type::kString:
-      out->push_back(static_cast<char>(kTagString));
-      PutString(v.as_string(), out);
-      break;
-    case json::Value::Type::kArray: {
-      out->push_back(static_cast<char>(kTagArray));
-      PutVarint(v.as_array().size(), out);
-      for (const auto& e : v.as_array()) SerializeValue(e, out);
-      break;
-    }
-    case json::Value::Type::kObject: {
-      out->push_back(static_cast<char>(kTagObject));
-      PutVarint(v.as_object().size(), out);
-      for (const auto& [key, value] : v.as_object().entries()) {
-        PutString(key, out);
-        SerializeValue(value, out);
-      }
-      break;
-    }
-  }
+  StringSink sink(out);
+  EncodeValue(v, &sink);
 }
 
 Result<json::Value> DeserializeValue(std::string_view bytes) {
@@ -820,15 +826,15 @@ Result<json::Value> DeserializeValue(std::string_view bytes) {
 
 std::string SerializeDatasetV1(const Dataset& dataset) {
   std::string out;
-  out.append(kDatasetMagic, 4);
-  out.push_back(static_cast<char>(kDatasetVersionV1));
-  PutVarint(dataset.NumRows(), &out);
+  StringSink sink(&out);
+  sink.Append(kDatasetMagic, 4);
+  sink.Put(static_cast<char>(kDatasetVersionV1));
+  PutVarint(dataset.NumRows(), &sink);
   std::vector<std::string> names = dataset.ColumnNames();
-  PutVarint(names.size(), &out);
+  PutVarint(names.size(), &sink);
   for (const std::string& name : names) {
-    PutString(name, &out);
-    const auto* cells = dataset.Column(name);
-    for (const auto& cell : *cells) SerializeValue(cell, &out);
+    PutString(name, &sink);
+    for (const auto& cell : *dataset.Column(name)) EncodeValue(cell, &sink);
   }
   return out;
 }
@@ -852,52 +858,50 @@ std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool,
   for (size_t s = 0; s < num_shards; ++s) {
     row_begin[s + 1] = row_begin[s] + base + (s < rem ? 1 : 0);
   }
-  std::vector<std::string> payloads(num_shards);
-  auto serialize_range = [&](size_t begin, size_t end) {
-    for (size_t s = begin; s < end; ++s) {
-      std::string& payload = payloads[s];
-      const size_t rows = row_begin[s + 1] - row_begin[s];
-      // Size the payload from a few sampled rows so the big text columns
-      // append into reserved space instead of doubling the string.
-      const size_t samples = rows < 4 ? rows : 4;
-      if (samples > 0) {
-        std::string probe;
-        for (const std::string& name : names) {
-          const auto* cells = dataset.Column(name);
-          for (size_t r = row_begin[s]; r < row_begin[s] + samples; ++r) {
-            SerializeValue((*cells)[r], &probe);
-          }
-        }
-        payload.reserve((probe.size() / samples + 16) * rows + 64);
-      }
-      for (const std::string& name : names) {
-        const auto* cells = dataset.Column(name);
-        for (size_t r = row_begin[s]; r < row_begin[s + 1]; ++r) {
-          SerializeValue((*cells)[r], &payload);
-        }
+  std::vector<const std::vector<json::Value>*> cols;
+  cols.reserve(names.size());
+  for (const std::string& name : names) cols.push_back(dataset.Column(name));
+  auto encode_shard = [&](size_t s, auto* sink) {
+    for (const auto* cells : cols) {
+      for (size_t r = row_begin[s]; r < row_begin[s + 1]; ++r) {
+        EncodeValue((*cells)[r], sink);
       }
     }
   };
-  MaybeParallelFor(pool, num_shards, serialize_range);
-
-  std::string out;
-  size_t payload_total = 0;
-  for (const std::string& p : payloads) payload_total += p.size();
-  out.reserve(payload_total + 64 + names.size() * 16);
-  out.append(kDatasetMagic, 4);
-  out.push_back(static_cast<char>(kDatasetVersionV3));
-  PutVarint(num_rows, &out);
-  PutVarint(names.size(), &out);
-  for (const std::string& name : names) PutString(name, &out);
-  PutVarint(num_shards, &out);
+  // Pass 1: the exact encoded size of every shard.
+  std::vector<ShardEntry> shards(num_shards);
+  MaybeParallelFor(pool, num_shards, [&](size_t begin, size_t end) {
+    for (size_t s = begin; s < end; ++s) {
+      CountingSink counter;
+      encode_shard(s, &counter);
+      shards[s].rows = row_begin[s + 1] - row_begin[s];
+      shards[s].length = counter.size();
+    }
+  });
+  CountingSink header;
+  EncodeHeaderV3(num_rows, names, shards, &header);
+  std::vector<size_t> offsets(num_shards);
+  size_t total = header.size() + 8;  // + header checksum
   for (size_t s = 0; s < num_shards; ++s) {
-    PutVarint(row_begin[s + 1] - row_begin[s], &out);
-    PutVarint(payloads[s].size(), &out);
-    PutU64Fixed(swar::Hash64(payloads[s]), &out);
+    offsets[s] = total;
+    total += shards[s].length;
   }
-  // Header checksum covers everything above it; shard entries cover payloads.
-  PutU64Fixed(swar::Hash64(out), &out);
-  for (const std::string& p : payloads) out.append(p);
+  // Pass 2: one allocation at the final size; each shard is encoded at its
+  // own offset and hashed where it lies, so nothing is gathered or copied.
+  std::string out(total, '\0');
+  MaybeParallelFor(pool, num_shards, [&](size_t begin, size_t end) {
+    for (size_t s = begin; s < end; ++s) {
+      BufferSink sink(out.data() + offsets[s]);
+      encode_shard(s, &sink);
+      shards[s].checksum =
+          swar::Hash64(out.data() + offsets[s], shards[s].length);
+    }
+  });
+  // The header goes last: its shard table carries the checksums, and its
+  // own checksum covers everything before it.
+  BufferSink head(out.data());
+  EncodeHeaderV3(num_rows, names, shards, &head);
+  PutU64Fixed(swar::Hash64(out.data(), header.size()), &head);
   RecordIoMetrics("serialize", num_rows, out.size(), watch.ElapsedSeconds());
   return out;
 }

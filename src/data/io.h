@@ -18,8 +18,9 @@ Status WriteFile(const std::string& path, std::string_view content);
 
 /// Parses JSON-Lines content: one strict-JSON object per non-empty line.
 /// With a pool, the buffer splits at newline boundaries into per-thread
-/// chunks that parse concurrently; the result (rows, column order, error
-/// line numbers) is identical to the serial parse.
+/// chunks that are indexed and parsed concurrently; the result (rows,
+/// column order, error line numbers) is identical to the serial parse.
+/// Lines must be under 2 GiB; the input may be any size.
 Result<Dataset> ParseJsonl(std::string_view content,
                            ThreadPool* pool = nullptr);
 
@@ -31,21 +32,23 @@ Result<Dataset> ReadJsonl(const std::string& path, ThreadPool* pool = nullptr);
 /// output is byte-identical to the serial form.
 std::string ToJsonl(const Dataset& dataset, ThreadPool* pool = nullptr);
 
-/// Writes the dataset to a .jsonl file.
+/// Writes the dataset to a .jsonl file. The pooled row-range parts of
+/// ToJsonl go to the file in order without being joined first.
 Status WriteJsonl(const Dataset& dataset, const std::string& path,
                   ThreadPool* pool = nullptr);
 
 /// Binary cache codec for datasets (magic "DJDS"). Deterministic; used by
 /// the per-OP cache and checkpoint layers, optionally djlz-compressed there.
 ///
-/// The current container is version 2: a checksummed header (row/column
+/// The current container is version 3: a checksummed header (row/column
 /// counts, column names) followed by a shard table and N independently
-/// decodable row-range shards, each with a byte length and FNV checksum.
-/// Shards serialize and
-/// deserialize on `pool` when given; the byte stream depends only on the
-/// dataset and `num_shards` (0 = deterministic auto from the row count), so
-/// serial and parallel runs produce identical blobs. Version-1 blobs
-/// (single unsharded stream) still deserialize.
+/// decodable row-range shards, each with a byte length and checksum.
+/// The blob is allocated once at its exact size; shards are encoded in
+/// place and decoded straight into whole columns, on `pool` when given.
+/// The byte stream depends only on the dataset and `num_shards` (0 =
+/// deterministic auto from the row count), so serial and parallel runs
+/// produce identical blobs. Version-1 and version-2 blobs still
+/// deserialize.
 std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool = nullptr,
                              size_t num_shards = 0);
 Result<Dataset> DeserializeDataset(std::string_view bytes,

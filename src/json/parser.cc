@@ -486,6 +486,21 @@ class IndexedParser {
     if (qe_i_ >= qe_n_ || qe_[qe_i_] - base_ != pos_) return false;
     ++qe_i_;  // past the opening quote
     size_t cur = ++pos_;
+    // Escapes split the copy into several appends. Size the string once
+    // from the closing quote (the decoded string is never longer than its
+    // raw span) so it does not keep append's growth slack.
+    size_t k = qe_i_;
+    while (k < qe_n_ && qe_[k] - base_ < t_.size() &&
+           t_[qe_[k] - base_] == '\\') {
+      // Step over the backslash, and over the byte it escapes when that
+      // byte ('"' or '\\') is indexed too.
+      const uint64_t escaped = qe_[k] - base_ + 1;
+      ++k;
+      if (k < qe_n_ && qe_[k] - base_ == escaped) ++k;
+    }
+    if (k > qe_i_ && k < qe_n_ && qe_[k] - base_ < t_.size()) {
+      s->reserve(static_cast<size_t>(qe_[k] - base_) - cur);
+    }
     while (true) {
       if (qe_i_ >= qe_n_) return false;  // unterminated -> scalar error
       size_t p = static_cast<size_t>(qe_[qe_i_] - base_);

@@ -128,7 +128,7 @@ Result<data::Dataset> TxtFormatter::LoadFromString(std::string_view content,
   auto make_sample = [&](std::string text) {
     data::Sample s = data::Sample::FromText(std::move(text));
     s.Set("meta.source", json::Value(std::string(origin)));
-    ds.AppendSample(s);
+    ds.AppendSample(std::move(s));
   };
   if (per_line_) {
     for (const std::string& line : SplitLines(content)) {
@@ -196,7 +196,7 @@ Result<data::Dataset> CsvFormatter::LoadFromString(std::string_view content,
         }
       }
     }
-    ds.AppendSample(s);
+    ds.AppendSample(std::move(s));
   }
   return ds;
 }
@@ -214,7 +214,7 @@ Result<data::Dataset> CodeFormatter::LoadFromString(std::string_view content,
   s.Set("meta.suffix", json::Value(suffix));
   s.Set("meta.language", json::Value(LanguageFromSuffix(suffix)));
   data::Dataset ds;
-  ds.AppendSample(s);
+  ds.AppendSample(std::move(s));
   return ds;
 }
 

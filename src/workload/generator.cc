@@ -407,7 +407,7 @@ data::Dataset CorpusGenerator::Generate() {
     sample.Set("meta.lang", json::Value(options_.style == Style::kChinese
                                             ? "zh"
                                             : "en"));
-    ds.AppendSample(sample);
+    ds.AppendSample(std::move(sample));
   }
   return ds;
 }
@@ -460,7 +460,7 @@ data::Dataset GenerateInstructionDataset(const InstructionOptions& options) {
     sample.Set("meta.lang", json::Value(options.lang));
     sample.Set("meta.quality_label",
                json::Value(low_quality ? "low" : "high"));
-    ds.AppendSample(sample);
+    ds.AppendSample(std::move(sample));
   }
   return ds;
 }

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <set>
 
+#include "common/file_util.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/random.h"
@@ -297,6 +298,50 @@ TEST(RngTest, ForkIndependent) {
   Rng parent(12);
   Rng child = parent.Fork();
   EXPECT_NE(parent.Next(), child.Next());
+}
+
+// ---------------------------------------------------------- file_util ----
+
+TEST(FileUtilTest, ReadsEmptyFile) {
+  const std::string path = ::testing::TempDir() + "/dj_read_empty";
+  ASSERT_TRUE(WriteStringToFile(path, "").ok());
+  auto r = ReadFileToString(path);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), "");
+  std::remove(path.c_str());
+}
+
+TEST(FileUtilTest, ReadsFileLargerThanOneReadChunk) {
+  const std::string path = ::testing::TempDir() + "/dj_read_large";
+  std::string content;
+  for (size_t i = 0; i < 200000; ++i) {
+    content.push_back(static_cast<char>('a' + (i * 7) % 26));
+  }
+  ASSERT_TRUE(WriteStringToFile(path, content).ok());
+  auto r = ReadFileToString(path);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), content);
+  EXPECT_EQ(r.value().capacity(), content.size());  // one exact allocation
+  std::remove(path.c_str());
+}
+
+TEST(FileUtilTest, ReadsProcFileWhoseStatSizeIsZero) {
+  // /proc files stat as 0 bytes yet have content: the size is only a hint
+  // and the read must continue to EOF.
+  auto r = ReadFileToString("/proc/self/status");
+  if (!r.ok()) GTEST_SKIP() << "no procfs";
+  EXPECT_NE(r.value().find("Name:"), std::string::npos);
+  EXPECT_NE(r.value().find("VmRSS:"), std::string::npos);
+  EXPECT_EQ(r.value().back(), '\n');
+}
+
+TEST(FileUtilTest, WritesPiecesInOrder) {
+  const std::string path = ::testing::TempDir() + "/dj_write_pieces";
+  ASSERT_TRUE(WriteStringsToFile(path, {"ab", "", "cde", "f"}).ok());
+  auto r = ReadFileToString(path);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value(), "abcdef");
+  std::remove(path.c_str());
 }
 
 // -------------------------------------------------------- thread_pool ----

@@ -151,6 +151,35 @@ TEST(DatasetTest, ConcatUnionsColumns) {
   EXPECT_TRUE(a.Cell("m", 1).is_null());
 }
 
+TEST(DatasetTest, AppendSampleMoveMatchesCopy) {
+  // Rows that add columns late (backfill), omit columns (null padding),
+  // and carry explicit nulls and nested values.
+  const char* rows[] = {
+      R"({"text": "a", "meta": {"k": [1, 2]}})",
+      R"({"meta": null, "stats": {"n": 3}})",
+      R"({"extra": "late", "text": "c"})",
+      R"({})",
+      R"({"stats": {"n": 5}, "text": ""})",
+  };
+  Dataset copied;
+  Dataset moved;
+  for (const char* row : rows) {
+    const Sample sample = MakeSample(row);
+    copied.AppendSample(sample);
+    Sample temp = sample;
+    moved.AppendSample(std::move(temp));
+  }
+  // The v1 blob fingerprints row count, column order, nulls and values.
+  EXPECT_EQ(SerializeDatasetV1(moved), SerializeDatasetV1(copied));
+  EXPECT_EQ(moved.ColumnNames(),
+            (std::vector<std::string>{"text", "meta", "stats", "extra"}));
+  EXPECT_TRUE(moved.Cell("extra", 0).is_null());
+  EXPECT_EQ(moved.Cell("extra", 2).as_string(), "late");
+  EXPECT_TRUE(moved.Cell("text", 1).is_null());
+  EXPECT_TRUE(moved.Cell("meta", 3).is_null());
+  EXPECT_EQ(moved.Cell("stats", 4).as_object().Find("n")->as_int(), 5);
+}
+
 TEST(DatasetTest, MapSequentialAndParallelAgree) {
   auto build = [] {
     std::vector<std::string> texts;

@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/random.h"
+#include "common/swar.h"
 #include "common/thread_pool.h"
 #include "compress/djlz.h"
 #include "data/dataset.h"
@@ -185,6 +190,211 @@ TEST(DjdsV2Test, RejectsOverflowingVarintLengths) {
   EXPECT_FALSE(DeserializeDataset(blob).ok());
 }
 
+TEST(DjdsV2Test, RejectsRowCountBeyondPayload) {
+  // A well-formed, correctly checksummed v3 header that claims 2^40 rows
+  // over a one-byte payload must fail cleanly, not try to allocate them.
+  auto varint = [](uint64_t v, std::string* out) {
+    for (; v >= 0x80; v >>= 7) out->push_back(static_cast<char>(v | 0x80));
+    out->push_back(static_cast<char>(v));
+  };
+  auto u64 = [](uint64_t v, std::string* out) {
+    for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  };
+  const std::string payload(1, '\0');  // one null cell
+  const uint64_t rows = uint64_t{1} << 40;
+  std::string blob("DJDS", 4);
+  blob.push_back(3);
+  varint(rows, &blob);
+  varint(1, &blob);  // one column, named "a"
+  varint(1, &blob);
+  blob.push_back('a');
+  varint(1, &blob);  // one shard holding every row
+  varint(rows, &blob);
+  varint(payload.size(), &blob);
+  u64(swar::Hash64(payload), &blob);
+  u64(swar::Hash64(blob), &blob);
+  blob += payload;
+  auto r = DeserializeDataset(blob);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+}
+
+// ----------------------------------------------------- DJDS v3 golden ----
+
+/// Minimal SHA-256 (FIPS 180-4) so golden digests are the same ones
+/// `sha256sum` prints for a blob written to disk.
+std::string Sha256Hex(std::string_view data) {
+  static constexpr uint32_t kK[64] = {
+      0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
+      0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
+      0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+      0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+      0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+      0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+      0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+      0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+      0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+      0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+      0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+  std::array<uint32_t, 8> h = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                               0xa54ff53a, 0x510e527f, 0x9b05688c,
+                               0x1f83d9ab, 0x5be0cd19};
+  auto rotr = [](uint32_t x, int n) { return (x >> n) | (x << (32 - n)); };
+  std::string msg(data);
+  const uint64_t bit_len = static_cast<uint64_t>(data.size()) * 8;
+  msg.push_back(static_cast<char>(0x80));
+  while (msg.size() % 64 != 56) msg.push_back('\0');
+  for (int i = 7; i >= 0; --i) {
+    msg.push_back(static_cast<char>((bit_len >> (8 * i)) & 0xFF));
+  }
+  for (size_t block = 0; block < msg.size(); block += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = 0;
+      for (size_t b = 0; b < 4; ++b) {
+        const size_t at = block + static_cast<size_t>(i) * 4 + b;
+        w[i] = (w[i] << 8) | static_cast<uint8_t>(msg[at]);
+      }
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::array<uint32_t, 8> v = h;
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = rotr(v[4], 6) ^ rotr(v[4], 11) ^ rotr(v[4], 25);
+      uint32_t ch = (v[4] & v[5]) ^ (~v[4] & v[6]);
+      uint32_t t1 = v[7] + s1 + ch + kK[i] + w[i];
+      uint32_t s0 = rotr(v[0], 2) ^ rotr(v[0], 13) ^ rotr(v[0], 22);
+      uint32_t maj = (v[0] & v[1]) ^ (v[0] & v[2]) ^ (v[1] & v[2]);
+      uint32_t t2 = s0 + maj;
+      v = {t1 + t2, v[0], v[1], v[2], v[3] + t1, v[4], v[5], v[6]};
+    }
+    for (int i = 0; i < 8; ++i) h[i] += v[i];
+  }
+  std::string hex;
+  char buf[9];
+  for (uint32_t x : h) {
+    std::snprintf(buf, sizeof(buf), "%08x", x);
+    hex += buf;
+  }
+  return hex;
+}
+
+TEST(DjdsGoldenTest, Sha256MatchesKnownVectors) {
+  EXPECT_EQ(Sha256Hex(""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(Sha256Hex("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(
+      Sha256Hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+/// Deterministic dataset touching every DJDS value tag: null, both bools,
+/// negative / extreme ints, doubles, empty / 1-byte-varint / 3-byte-varint
+/// strings, and nested arrays and objects. Columns first appear at
+/// different rows and are absent from most rows, so cells are null-padded
+/// both by backfill and by omission.
+Dataset GoldenDataset(size_t rows) {
+  Dataset ds;
+  for (size_t r = 0; r < rows; ++r) {
+    const int64_t ri = static_cast<int64_t>(r);
+    json::Object fields;
+    fields.Set("id", json::Value(ri * 7919 - 1000));
+    if (r % 3 == 0) {
+      std::string text;
+      if (r % 97 == 0) {
+        text.assign(20000 + r % 7, 'x');  // 3-byte length varint
+      } else if (r % 11 != 0) {           // every 11th: empty string
+        for (size_t i = 0; i < (r * 37) % 300; ++i) {
+          text.push_back(static_cast<char>('a' + (r + i) % 26));
+        }
+      }
+      fields.Set("text", json::Value(std::move(text)));
+    }
+    if (r % 5 == 1) fields.Set("flag", json::Value(r % 2 == 0));
+    fields.Set("num", json::Value(r % 13 == 0 ? 1e300 * (r % 2 ? -1 : 1)
+                                              : static_cast<double>(ri) * 0.25 -
+                                                    3.5));
+    if (r % 4 == 2) {
+      fields.Set("big", json::Value(r % 8 == 2
+                                        ? std::numeric_limits<int64_t>::min()
+                                        : std::numeric_limits<int64_t>::max()));
+    }
+    if (r % 7 == 3) {
+      json::Array inner;
+      inner.push_back(json::Value(true));
+      inner.push_back(json::Value(-ri));
+      json::Array arr;
+      arr.push_back(json::Value(static_cast<int64_t>(1)));
+      arr.push_back(json::Value("x"));
+      arr.push_back(json::Value(nullptr));
+      arr.push_back(json::Value(std::move(inner)));
+      json::Object nested;
+      nested.Set("k", json::Value(ri));
+      json::Object meta;
+      meta.Set("arr", json::Value(std::move(arr)));
+      meta.Set("nested", json::Value(std::move(nested)));
+      meta.Set("empty_obj", json::Value(json::Object()));
+      meta.Set("empty_arr", json::Value(json::Array()));
+      fields.Set("meta", json::Value(std::move(meta)));
+    }
+    if (r % 6 == 5) fields.Set("nullcol", json::Value(nullptr));
+    ds.AppendSample(Sample(std::move(fields)));
+  }
+  return ds;
+}
+
+// Digests recorded from the pre-rewrite serializer (payload strings
+// gathered behind the header). Any change here is an on-disk format change.
+TEST(DjdsGoldenTest, SerializedBytesMatchRecordedDigests) {
+  auto zero_rows_with_columns = Dataset::FromColumns(
+      {"text", "meta"}, {std::vector<json::Value>{},
+                         std::vector<json::Value>{}});
+  ASSERT_TRUE(zero_rows_with_columns.ok());
+  const Dataset g5 = GoldenDataset(5);
+  const Dataset g1000 = GoldenDataset(1000);
+  const Dataset g5000 = GoldenDataset(5000);
+  struct Case {
+    const char* name;
+    const Dataset* ds;
+    size_t shards;
+    const char* sha256;
+  };
+  const Dataset empty;
+  const Case cases[] = {
+      {"empty", &empty, 0,
+       "e35d71b1af6b87ae02d0b70b93a3345cef966705cb9e322606338b229e670efc"},
+      {"zero_rows_with_columns", &zero_rows_with_columns.value(), 0,
+       "21c8c6fb52c1c5722324d3176843c40abb9d5acd59c5a742d97b824da07be57c"},
+      {"rows5_auto", &g5, 0,
+       "8f18a6706db533905c8b305b8b7bf8c85bf3ab097a19aa3ed01de7c09707e431"},
+      {"rows5_shards64", &g5, 64,
+       "608aceb3155b915a616e8fcd418812a3fd26bbebfba561de3430ea81246a4f30"},
+      {"rows1000_shards1", &g1000, 1,
+       "803050b36fb1f6f63070d4c1df03af48be8b0ada458f1cf380e9413ab9e58f52"},
+      {"rows1000_shards3", &g1000, 3,
+       "b21f51c5dfaf429da96997d4a5fbb82fab7d93bdf4ddd75f9dfde5dffb6a3ac2"},
+      {"rows1000_shards7", &g1000, 7,
+       "30ddd65d38c317bb5ce01f9205b3cc6b208983d5299aa87c54641706a0d268f3"},
+      {"rows5000_auto", &g5000, 0,
+       "4fe0c5e5ab88b07741129c3a148823da61b96030371ae0ba5c6385f3aa9bfe27"},
+      {"rows5000_shards64", &g5000, 64,
+       "53d8290970e5e7bad545c6c91b96862fd2eedaa0fcd4693367e8c4bf63c7e866"},
+  };
+  ThreadPool pool(4);
+  for (const Case& c : cases) {
+    const std::string serial = SerializeDataset(*c.ds, nullptr, c.shards);
+    EXPECT_EQ(Sha256Hex(serial), c.sha256) << c.name;
+    EXPECT_EQ(SerializeDataset(*c.ds, &pool, c.shards), serial) << c.name;
+    auto back = DeserializeDataset(serial, &pool);
+    ASSERT_TRUE(back.ok()) << c.name << ": " << back.status().ToString();
+    EXPECT_EQ(Fingerprint(back.value()), Fingerprint(*c.ds)) << c.name;
+  }
+}
+
 // ---------------------------------------------------------- JSONL plane --
 
 std::string MakeJsonl(Rng* rng, size_t rows) {
@@ -242,6 +452,88 @@ TEST(ParallelJsonlTest, ErrorLineNumbersMatchSerial) {
   EXPECT_NE(serial.status().message().find(std::to_string(target_line)),
             std::string::npos)
       << serial.status().message();
+}
+
+/// The 1-based number of the line starting at byte `at`.
+size_t LineNumberAt(const std::string& content, size_t at) {
+  return static_cast<size_t>(
+             std::count(content.begin(), content.begin() + at, '\n')) +
+         1;
+}
+
+/// Breaks the line starting at `at` (it stops being an object) and checks
+/// that serial and pooled parses reject it with the same message, naming
+/// that line.
+void ExpectSameErrorLine(std::string content, size_t at, ThreadPool* pool) {
+  content[at] = '[';
+  auto serial = ParseJsonl(content);
+  auto pooled = ParseJsonl(content, pool);
+  ASSERT_FALSE(serial.ok());
+  ASSERT_FALSE(pooled.ok());
+  EXPECT_EQ(pooled.status().message(), serial.status().message());
+  const std::string want =
+      "jsonl line " + std::to_string(LineNumberAt(content, at)) + ":";
+  EXPECT_EQ(serial.status().message().rfind(want, 0), 0u)
+      << serial.status().message() << " (want " << want << ")";
+}
+
+TEST(ParallelJsonlTest, ErrorLinesMatchSerialAtChunkBoundaries) {
+  Rng rng(61);
+  // Every other line blank, so chunk cuts also land next to empty lines.
+  std::string dense = MakeJsonl(&rng, 3000);
+  std::string content;
+  for (char c : dense) {
+    content.push_back(c);
+    if (c == '\n') content += "  \n";
+  }
+  ASSERT_GT(content.size(), 1u << 16);
+  ThreadPool pool(4);
+  // Chunks are cut right after the first newline at or past each quarter.
+  for (size_t i = 1; i < 4; ++i) {
+    const size_t cut = content.find('\n', content.size() * i / 4) + 1;
+    // First line of the chunk (may be blank: then the next object line).
+    const size_t next_object = content.find('{', cut);
+    ExpectSameErrorLine(content, next_object, &pool);
+    // Last object line of the chunk before.
+    const size_t prev_object = content.rfind('{', cut - 1);
+    ExpectSameErrorLine(content, prev_object, &pool);
+  }
+  // Errors in two chunks: the earlier one wins, as in the serial parse.
+  std::string twice = content;
+  const size_t late = twice.find('{', twice.find('\n', twice.size() * 3 / 4));
+  twice[late] = '[';
+  ExpectSameErrorLine(twice, twice.find('{', twice.size() / 3), &pool);
+}
+
+TEST(ParallelJsonlTest, WriteJsonlStreamsPartsAndKeepsFaultSemantics) {
+  Rng rng(67);
+  Dataset ds = RandomDataset(&rng, 3000, 3);
+  const std::string want = ToJsonl(ds);
+  const std::string path = ::testing::TempDir() + "/dj_write_jsonl.jsonl";
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    ASSERT_TRUE(WriteJsonl(ds, path, p).ok());
+    auto back = ReadFile(path);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back.value(), want);
+    {
+      // A torn write keeps exactly the first 2/3 of the whole text, even
+      // though it spans several parts.
+      fault::ScopedFaults faults("io.write.short=always");
+      ASSERT_TRUE(faults.status().ok());
+      ASSERT_TRUE(WriteJsonl(ds, path, p).ok());
+    }
+    auto torn = ReadFile(path);
+    ASSERT_TRUE(torn.ok());
+    EXPECT_EQ(torn.value(), want.substr(0, want.size() * 2 / 3));
+    {
+      fault::ScopedFaults faults("io.write.fail=always");
+      ASSERT_TRUE(faults.status().ok());
+      Status s = WriteJsonl(ds, path, p);
+      ASSERT_FALSE(s.ok());
+      EXPECT_EQ(s.code(), StatusCode::kIoError);
+    }
+  }
 }
 
 TEST(ParallelJsonlTest, WhitespaceOnlyLinesAndMissingTrailingNewline) {

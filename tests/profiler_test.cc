@@ -435,7 +435,18 @@ TEST(ResourceMonitorTest, LiveCountersArePlausible) {
   EXPECT_GT(ResourceMonitor::CurrentPeakRssBytes(), 0u);
   EXPECT_GE(ResourceMonitor::CurrentPeakRssBytes(),
             ResourceMonitor::CurrentRssBytes() / 2);
-  EXPECT_GT(ResourceMonitor::ReadCpuSecondsFrom("/proc/self/stat"), 0.0);
+  // /proc/self/stat counts CPU time in clock ticks (usually 10 ms), so a
+  // process that has not yet run for a whole tick reads 0. Burn CPU until
+  // a tick registers — bounded, so a broken reader still fails, not hangs.
+  double cpu_s = ResourceMonitor::ReadCpuSecondsFrom("/proc/self/stat");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  volatile uint64_t sink = 0;
+  while (cpu_s <= 0.0 && std::chrono::steady_clock::now() < deadline) {
+    for (uint64_t i = 0; i < 1000000; ++i) sink = sink + i * i;
+    cpu_s = ResourceMonitor::ReadCpuSecondsFrom("/proc/self/stat");
+  }
+  EXPECT_GT(cpu_s, 0.0);
 }
 
 // ----------------------------------------------------------- bench diff --

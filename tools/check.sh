@@ -24,7 +24,10 @@
 #                             watchdog dump, and the dj_bench_diff
 #                             perf-regression gate incl. its must-fail
 #                             self-test
-#   9. TSan                   concurrency-heavy tests, then re-run under
+#   9. benchmark oracle       one short perfbench pack_web run: every
+#                             dj_process output must match the naive-plan
+#                             reference byte for byte
+#  10. TSan                   concurrency-heavy tests, then re-run under
 #                             three seeds of schedule perturbation (DJ_SCHED)
 # Run from anywhere inside the repo.
 #
@@ -256,6 +259,24 @@ if [ "${degrade_rc}" -ne 1 ]; then
   echo "check.sh: bench-diff gate self-test expected exit 1, got ${degrade_rc}" >&2
   exit 1
 fi
+
+echo "== benchmark byte oracle (perfbench pack_web, seed 1) =="
+# A short end-to-end benchmark run (Release build in .bench_build/): the
+# read -> parse -> serialize -> compress -> write path of dj_process at
+# --np 4, with every timed run's .djds.djlz output compared byte for byte
+# against the naive-plan reference. The last stdout line is the result.
+bench_result="$(cd "${repo_dir}" && python3 perfbench/run.py \
+  --workload pack_web --seed 1 --seconds 3 --trace 0 | tail -n 1)"
+if ! python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
+' "${bench_result}"; then
+  echo "${bench_result}" >&2
+  echo "check.sh: pack_web benchmark run was not byte-correct" >&2
+  exit 1
+fi
+echo "pack_web outputs byte-identical to the reference"
 
 echo "== TSan pass (core/dist/obs + parallel I/O + fault tests) =="
 # The suppressions file only mutes the deliberate lock-order inversions
