@@ -1,9 +1,7 @@
 #include "ops/dedup/document_dedup.h"
 
 #include <algorithm>
-#include <functional>
-#include <mutex>
-#include <optional>
+#include <limits>
 #include <unordered_map>
 
 #include "common/mutex.h"
@@ -21,38 +19,82 @@ std::string_view RowText(data::RowRef row, const std::string& key) {
   return v->as_string();
 }
 
-/// Runs `fn(row_index)` for every row, in parallel when a pool is given.
-void ForEachRow(data::Dataset* ds, ThreadPool* pool,
-                const std::function<void(size_t)>& fn) {
-  size_t n = ds->NumRows();
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
+/// Fnv1a64 of each word of `text`: from the context's cached tokens when
+/// there is one, straight from the text otherwise (text::WordHashes builds
+/// no token strings).
+std::vector<uint64_t> WordHashesOf(std::string_view text, SampleContext* ctx,
+                                   bool lowercase) {
+  if (ctx == nullptr) return text::WordHashes(text, lowercase);
+  const std::vector<std::string>& words =
+      lowercase ? ctx->WordsLower() : ctx->Words();
+  std::vector<uint64_t> hashes;
+  hashes.reserve(words.size());
+  for (const std::string& w : words) hashes.push_back(Fnv1a64(w));
+  return hashes;
+}
+
+/// The band -> bucket -> verify loop shared by the LSH dedups. `entries`
+/// holds one slice of `n` entries (one per row) per band. Each slice is
+/// sorted on the pool, so every bucket becomes a run of equal keys; the
+/// pairs of each run are then verified with `similar(i, j)`, skipping pairs
+/// already in one cluster. Clusters are the connected components of the
+/// verified candidate pairs, so neither bucket order nor the skipped
+/// checks can change which rows end up together.
+template <typename Similar>
+void ClusterBandCandidates(std::vector<LshEntry>* entries, size_t n,
+                           ThreadPool* pool, UnionFind* uf,
+                           const Similar& similar) {
+  if (n == 0) return;
+  const size_t bands = entries->size() / n;
+  LshEntry* slices = entries->data();
+  auto sort_bands = [&](size_t begin, size_t end) {
+    for (size_t b = begin; b < end; ++b) {
+      std::sort(slices + b * n, slices + (b + 1) * n);
+    }
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(bands, sort_bands);
+  } else {
+    sort_bands(0, bands);
   }
-  pool->ParallelFor(n, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-  });
+  for (size_t b = 0; b < bands; ++b) {
+    const LshEntry* band = slices + b * n;
+    size_t run = 0;
+    while (run < n) {
+      size_t end = run + 1;
+      while (end < n && band[end].key == band[run].key) ++end;
+      for (size_t x = run; x + 1 < end; ++x) {
+        for (size_t y = x + 1; y < end; ++y) {
+          size_t i = band[x].row, j = band[y].row;
+          if (uf->Find(i) == uf->Find(j)) continue;
+          if (similar(i, j)) uf->Union(i, j);
+        }
+      }
+      run = end;
+    }
+  }
 }
 
 /// Selects survivors: for each union-find cluster the smallest row index is
-/// kept; records removed->kept pairs.
-data::Dataset CollectSurvivors(const data::Dataset& ds, UnionFind* uf,
+/// kept; records removed->kept pairs. Kept rows are moved, not copied.
+data::Dataset CollectSurvivors(data::Dataset ds, UnionFind* uf,
                                std::vector<DuplicatePair>* pairs,
                                double similarity) {
+  constexpr size_t kNone = std::numeric_limits<size_t>::max();
   size_t n = ds.NumRows();
-  std::unordered_map<size_t, size_t> cluster_first;
+  std::vector<size_t> cluster_first(n, kNone);  // indexed by root
   std::vector<size_t> keep;
   keep.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    size_t root = uf->Find(i);
-    auto [it, inserted] = cluster_first.emplace(root, i);
-    if (inserted) {
+    size_t& first = cluster_first[uf->Find(i)];
+    if (first == kNone) {
+      first = i;
       keep.push_back(i);
     } else if (pairs != nullptr) {
-      pairs->push_back({it->second, i, similarity});
+      pairs->push_back({first, i, similarity});
     }
   }
-  return ds.Select(keep);
+  return std::move(ds).TakeSelect(keep);
 }
 
 }  // namespace
@@ -101,7 +143,7 @@ Result<data::Dataset> DocumentExactDeduplicator::Deduplicate(
   Mutex status_mutex{"ExactDedup.first_error"};
   {
     DJ_OBS_SPAN("exact_dedup.compute_hashes");
-    ForEachRow(&dataset, pool, [&](size_t i) {
+    ForEachIndex(n, pool, [&](size_t i) {
       Status s = ComputeHash(dataset.Row(i), nullptr);
       if (!s.ok()) {
         MutexLock lock(&status_mutex);
@@ -112,6 +154,7 @@ Result<data::Dataset> DocumentExactDeduplicator::Deduplicate(
   DJ_RETURN_IF_ERROR(status);
   DJ_OBS_SPAN("exact_dedup.select_survivors");
   std::unordered_map<Fingerprint128, size_t, Fingerprint128Hash> first_seen;
+  first_seen.reserve(n);
   std::vector<size_t> keep;
   keep.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -122,7 +165,7 @@ Result<data::Dataset> DocumentExactDeduplicator::Deduplicate(
       pairs->push_back({it->second, i, 1.0});
     }
   }
-  return dataset.Select(keep);
+  return std::move(dataset).TakeSelect(keep);
 }
 
 // ----------------------------------------- DocumentMinHashDeduplicator --
@@ -140,28 +183,30 @@ DocumentMinHashDeduplicator::DocumentMinHashDeduplicator(
   SetEffectiveParam("jaccard_threshold", json::Value(threshold_));
   SetEffectiveParam("lowercase", json::Value(lowercase_));
   // Pick (bands, rows): rows such that the LSH S-curve crosses near the
-  // Jaccard threshold.
-  lsh_.rows = threshold_ >= 0.85 ? 16 : threshold_ >= 0.6 ? 8 : 4;
+  // Jaccard threshold, capped at num_perm so there is at least one band.
+  size_t rows = threshold_ >= 0.85 ? 16 : threshold_ >= 0.6 ? 8 : 4;
+  lsh_.rows =
+      std::max<size_t>(1, std::min(rows, static_cast<size_t>(num_perm_)));
   lsh_.bands = static_cast<size_t>(num_perm_) / lsh_.rows;
 }
 
 Status DocumentMinHashDeduplicator::ComputeHash(data::RowRef row,
                                                 SampleContext* ctx) {
-  std::string_view text = RowText(row, text_key());
-  std::optional<SampleContext> local;
-  if (ctx == nullptr) {
-    local.emplace(text);
-    ctx = &*local;
-  }
-  const std::vector<std::string>& words =
-      lowercase_ ? ctx->WordsLower() : ctx->Words();
+  std::vector<uint64_t> words =
+      WordHashesOf(RowText(row, text_key()), ctx, lowercase_);
   std::vector<uint64_t> shingles =
-      text::HashedWordNgrams(words, static_cast<size_t>(shingle_size_));
+      text::NgramsOfWordHashes(words, static_cast<size_t>(shingle_size_));
   if (shingles.empty() && !words.empty()) {
     // Short docs: fall back to unigram shingles.
-    shingles = text::HashedWordNgrams(words, 1);
+    shingles = text::NgramsOfWordHashes(words, 1);
   }
-  signatures_[row.row()] = hasher_.Signature(shingles);
+  const size_t n = signatures_.size();
+  const size_t i = row.row();
+  signatures_[i] = hasher_.Signature(shingles);
+  std::vector<uint64_t> keys = LshBandKeys(signatures_[i], lsh_);
+  for (size_t b = 0; b < keys.size(); ++b) {
+    band_entries_[b * n + i] = {keys[b], i};
+  }
   return Status::Ok();
 }
 
@@ -170,33 +215,24 @@ Result<data::Dataset> DocumentMinHashDeduplicator::Deduplicate(
     std::vector<DuplicatePair>* pairs) {
   size_t n = dataset.NumRows();
   signatures_.assign(n, {});
+  band_entries_.assign(lsh_.bands * n, LshEntry{});
   {
     DJ_OBS_SPAN("minhash.compute_signatures");
-    ForEachRow(&dataset, pool,
-               [&](size_t i) { ComputeHash(dataset.Row(i), nullptr); });
+    ForEachIndex(n, pool,
+                 [&](size_t i) { ComputeHash(dataset.Row(i), nullptr); });
   }
-  // LSH banding: bucket rows by band keys, verify candidates.
   DJ_OBS_SPAN("minhash.lsh_candidates");
   UnionFind uf(n);
-  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
-  for (size_t i = 0; i < n; ++i) {
-    for (uint64_t key : LshBandKeys(signatures_[i], lsh_)) {
-      buckets[key].push_back(i);
-    }
-  }
-  for (const auto& [key, members] : buckets) {
-    if (members.size() < 2) continue;
-    for (size_t a = 0; a + 1 < members.size(); ++a) {
-      for (size_t b = a + 1; b < members.size(); ++b) {
-        size_t i = members[a], j = members[b];
-        if (uf.Find(i) == uf.Find(j)) continue;
-        double sim =
-            MinHasher::EstimateJaccard(signatures_[i], signatures_[j]);
-        if (sim >= threshold_) uf.Union(i, j);
-      }
-    }
-  }
-  return CollectSurvivors(dataset, &uf, pairs, threshold_);
+  ClusterBandCandidates(&band_entries_, n, pool, &uf, [&](size_t i, size_t j) {
+    return MinHasher::EstimateJaccard(signatures_[i], signatures_[j]) >=
+           threshold_;
+  });
+  // Release the per-row state before the survivors are gathered.
+  signatures_.clear();
+  signatures_.shrink_to_fit();
+  band_entries_.clear();
+  band_entries_.shrink_to_fit();
+  return CollectSurvivors(std::move(dataset), &uf, pairs, threshold_);
 }
 
 // ----------------------------------------- DocumentSimHashDeduplicator --
@@ -212,14 +248,16 @@ DocumentSimHashDeduplicator::DocumentSimHashDeduplicator(
 
 Status DocumentSimHashDeduplicator::ComputeHash(data::RowRef row,
                                                 SampleContext* ctx) {
-  std::string_view text = RowText(row, text_key());
-  std::optional<SampleContext> local;
-  if (ctx == nullptr) {
-    local.emplace(text);
-    ctx = &*local;
+  uint64_t fp = SimHash(text::NgramsOfWordHashes(
+      WordHashesOf(RowText(row, text_key()), ctx, /*lowercase=*/true),
+      static_cast<size_t>(shingle_size_)));
+  const size_t n = fingerprints_.size();
+  const size_t i = row.row();
+  fingerprints_[i] = fp;
+  // Four 16-bit bands of the fingerprint.
+  for (size_t b = 0; b < 4; ++b) {
+    band_entries_[b * n + i] = {(fp >> (b * 16)) & 0xFFFF, i};
   }
-  fingerprints_[row.row()] = SimHash(text::HashedWordNgrams(
-      ctx->WordsLower(), static_cast<size_t>(shingle_size_)));
   return Status::Ok();
 }
 
@@ -228,32 +266,15 @@ Result<data::Dataset> DocumentSimHashDeduplicator::Deduplicate(
     std::vector<DuplicatePair>* pairs) {
   size_t n = dataset.NumRows();
   fingerprints_.assign(n, 0);
-  ForEachRow(&dataset, pool,
-             [&](size_t i) { ComputeHash(dataset.Row(i), nullptr); });
+  band_entries_.assign(4 * n, LshEntry{});
+  ForEachIndex(n, pool,
+               [&](size_t i) { ComputeHash(dataset.Row(i), nullptr); });
   UnionFind uf(n);
-  // Bucket by each of the four 16-bit bands; verify Hamming distance.
-  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
-  for (size_t i = 0; i < n; ++i) {
-    for (int band = 0; band < 4; ++band) {
-      uint64_t key = ((fingerprints_[i] >> (band * 16)) & 0xFFFF) |
-                     (static_cast<uint64_t>(band) << 32);
-      buckets[key].push_back(i);
-    }
-  }
-  for (const auto& [key, members] : buckets) {
-    if (members.size() < 2) continue;
-    for (size_t a = 0; a + 1 < members.size(); ++a) {
-      for (size_t b = a + 1; b < members.size(); ++b) {
-        size_t i = members[a], j = members[b];
-        if (uf.Find(i) == uf.Find(j)) continue;
-        if (HammingDistance64(fingerprints_[i], fingerprints_[j]) <=
-            hamming_threshold_) {
-          uf.Union(i, j);
-        }
-      }
-    }
-  }
-  return CollectSurvivors(dataset, &uf, pairs, 1.0);
+  ClusterBandCandidates(&band_entries_, n, pool, &uf, [&](size_t i, size_t j) {
+    return HammingDistance64(fingerprints_[i], fingerprints_[j]) <=
+           hamming_threshold_;
+  });
+  return CollectSurvivors(std::move(dataset), &uf, pairs, 1.0);
 }
 
 // ------------------------------------------- NgramOverlapDeduplicator --
@@ -268,14 +289,9 @@ NgramOverlapDeduplicator::NgramOverlapDeduplicator(const json::Value& config)
 
 Status NgramOverlapDeduplicator::ComputeHash(data::RowRef row,
                                              SampleContext* ctx) {
-  std::string_view text = RowText(row, text_key());
-  std::optional<SampleContext> local;
-  if (ctx == nullptr) {
-    local.emplace(text);
-    ctx = &*local;
-  }
-  std::vector<uint64_t> grams = text::HashedWordNgrams(
-      ctx->WordsLower(), static_cast<size_t>(shingle_size_));
+  std::vector<uint64_t> grams = text::NgramsOfWordHashes(
+      WordHashesOf(RowText(row, text_key()), ctx, /*lowercase=*/true),
+      static_cast<size_t>(shingle_size_));
   std::sort(grams.begin(), grams.end());
   grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
   shingles_[row.row()] = std::move(grams);
@@ -287,8 +303,8 @@ Result<data::Dataset> NgramOverlapDeduplicator::Deduplicate(
     std::vector<DuplicatePair>* pairs) {
   size_t n = dataset.NumRows();
   shingles_.assign(n, {});
-  ForEachRow(&dataset, pool,
-             [&](size_t i) { ComputeHash(dataset.Row(i), nullptr); });
+  ForEachIndex(n, pool,
+               [&](size_t i) { ComputeHash(dataset.Row(i), nullptr); });
   // Inverted index over a sample of shingles (every shingle for short docs,
   // min-K for long ones) to generate candidates.
   constexpr size_t kIndexPerDoc = 24;
@@ -311,12 +327,12 @@ Result<data::Dataset> NgramOverlapDeduplicator::Deduplicate(
                      candidates.end());
     for (size_t j : candidates) {
       if (uf.Find(i) == uf.Find(j)) continue;
-      double sim = text::JaccardSimilarity(shingles_[i], shingles_[j]);
+      double sim = text::JaccardOfSortedSets(shingles_[i], shingles_[j]);
       if (sim >= threshold_) uf.Union(i, j);
     }
     for (size_t g = 0; g < take; ++g) index[grams[g]].push_back(i);
   }
-  return CollectSurvivors(dataset, &uf, pairs, threshold_);
+  return CollectSurvivors(std::move(dataset), &uf, pairs, threshold_);
 }
 
 std::vector<OpSchema> DocumentDedupSchemas() {

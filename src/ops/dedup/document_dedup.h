@@ -39,7 +39,9 @@ class DocumentExactDeduplicator : public Deduplicator {
 /// Candidates from shared LSH bands are verified by signature similarity
 /// and clustered with union-find; the first document of each cluster
 /// survives. Params: num_perm (128), shingle_size (5),
-/// jaccard_threshold (0.7), lowercase (true).
+/// jaccard_threshold (0.7), lowercase (true). Rows per band follow the
+/// threshold (4, 8 or 16) but never exceed num_perm, so there is always at
+/// least one band.
 class DocumentMinHashDeduplicator : public Deduplicator {
  public:
   explicit DocumentMinHashDeduplicator(const json::Value& config);
@@ -58,6 +60,7 @@ class DocumentMinHashDeduplicator : public Deduplicator {
   MinHasher hasher_;
   LshParams lsh_;
   std::vector<std::vector<uint64_t>> signatures_;
+  std::vector<LshEntry> band_entries_;  ///< bands x rows, band-major
 };
 
 /// document_simhash_deduplicator: near-duplicate removal with 64-bit
@@ -79,6 +82,7 @@ class DocumentSimHashDeduplicator : public Deduplicator {
   int64_t shingle_size_;
   int64_t hamming_threshold_;
   std::vector<uint64_t> fingerprints_;
+  std::vector<LshEntry> band_entries_;  ///< 4 x rows, band-major
 };
 
 /// ngram_overlap_deduplicator: vector-space duplicate detection — documents

@@ -9,6 +9,17 @@
 #include "text/utf8.h"
 
 namespace dj::ops {
+namespace {
+
+/// Whether `unit` has at least `min` codepoints. A codepoint takes one to
+/// four bytes, so the byte length alone settles most units.
+bool HasCodepoints(std::string_view unit, size_t min) {
+  if (unit.size() < min) return false;
+  if (unit.size() / 4 >= min) return true;
+  return text::CodepointCount(unit) >= min;
+}
+
+}  // namespace
 
 GranularDeduplicatorBase::GranularDeduplicatorBase(std::string name,
                                                    const json::Value& config)
@@ -19,96 +30,104 @@ GranularDeduplicatorBase::GranularDeduplicatorBase(std::string name,
 
 Status GranularDeduplicatorBase::ComputeHash(data::RowRef row,
                                              SampleContext* ctx) {
+  std::vector<UnitKey>& keys = units_[row.row()];
+  keys.clear();
   const json::Value* v = row.Get(text_key());
-  std::string_view text =
-      (v != nullptr && v->is_string()) ? std::string_view(v->as_string())
-                                       : std::string_view();
+  if (v == nullptr || !v->is_string()) return Status::Ok();  // no units
   std::optional<SampleContext> local;
   if (ctx == nullptr) {
-    local.emplace(text);
+    local.emplace(v->as_string());
     ctx = &*local;
   }
-  std::vector<uint64_t> hashes;
-  for (const std::string& unit : SplitUnits(ctx)) {
-    std::string key = AsciiToLower(StripAsciiWhitespace(unit));
-    hashes.push_back(Fnv1a64(key));
+  const std::vector<std::string>& units = SplitUnits(ctx);
+  keys.resize(units.size());
+  for (size_t u = 0; u < units.size(); ++u) {
+    keys[u].dedupable =
+        HasCodepoints(units[u], static_cast<size_t>(min_unit_length_));
+    if (keys[u].dedupable) {
+      keys[u].hash = Fnv1a64(AsciiToLower(StripAsciiWhitespace(units[u])));
+    }
   }
-  unit_hashes_[row.row()] = std::move(hashes);
   return Status::Ok();
+}
+
+Status GranularDeduplicatorBase::RewriteRow(data::Dataset* dataset,
+                                            size_t i) const {
+  data::RowRef row = dataset->Row(i);
+  SampleContext ctx(row.Get(text_key())->as_string());
+  const std::vector<std::string>& units = SplitUnits(&ctx);
+  const std::vector<UnitKey>& keys = units_[i];
+  std::string rebuilt;
+  size_t kept_units = 0;
+  for (size_t u = 0; u < units.size(); ++u) {
+    if (keys[u].duplicate) continue;
+    if (kept_units++ > 0) rebuilt.append(Joiner());
+    rebuilt += units[u];
+  }
+  return row.Set(text_key(), json::Value(std::move(rebuilt)));
 }
 
 Result<data::Dataset> GranularDeduplicatorBase::Deduplicate(
     data::Dataset dataset, ThreadPool* pool,
     std::vector<DuplicatePair>* pairs) {
   size_t n = dataset.NumRows();
-  unit_hashes_.assign(n, {});
+  units_.assign(n, {});
   {
     DJ_OBS_SPAN("granular_dedup.compute_hashes");
-    if (pool != nullptr && pool->num_threads() > 1) {
-      pool->ParallelFor(n, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          ComputeHash(dataset.Row(i), nullptr);
-        }
-      });
-    } else {
-      for (size_t i = 0; i < n; ++i) ComputeHash(dataset.Row(i), nullptr);
+    ForEachIndex(n, pool,
+                 [&](size_t i) { ComputeHash(dataset.Row(i), nullptr); });
+  }
+  DJ_OBS_SPAN("granular_dedup.rewrite_units");
+  // Sequential pass over hashes only: the first occurrence of each unit
+  // wins, later ones are marked duplicate.
+  enum class Fate : uint8_t { kKeep, kRewrite, kDrop };
+  std::vector<Fate> fate(n, Fate::kKeep);
+  std::vector<size_t> rewrite;
+  size_t total_units = 0;
+  for (const std::vector<UnitKey>& keys : units_) total_units += keys.size();
+  std::unordered_set<uint64_t> seen;
+  seen.reserve(total_units);
+  for (size_t i = 0; i < n; ++i) {
+    bool any_dup = false;
+    bool all_dup = !units_[i].empty();
+    for (UnitKey& key : units_[i]) {
+      key.duplicate = key.dedupable && !seen.insert(key.hash).second;
+      any_dup = any_dup || key.duplicate;
+      all_dup = all_dup && key.duplicate;
+    }
+    if (all_dup) {
+      fate[i] = Fate::kDrop;
+    } else if (any_dup) {
+      fate[i] = Fate::kRewrite;
+      rewrite.push_back(i);
     }
   }
-  // Sequential pass: first occurrence of each unit wins, later ones are
-  // removed from their samples.
-  DJ_OBS_SPAN("granular_dedup.rewrite_units");
-  std::unordered_set<uint64_t> seen;
+  // Changed rows are rebuilt on the pool; the lowest row's error wins.
+  std::vector<Status> status(rewrite.size());
+  ForEachIndex(rewrite.size(), pool, [&](size_t r) {
+    status[r] = RewriteRow(&dataset, rewrite[r]);
+  });
+  for (const Status& s : status) DJ_RETURN_IF_ERROR(s);
+  units_.clear();
+  units_.shrink_to_fit();
   std::vector<size_t> keep_rows;
   keep_rows.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    data::RowRef row = dataset.Row(i);
-    const json::Value* v = row.Get(text_key());
-    if (v == nullptr || !v->is_string()) {
+    if (fate[i] != Fate::kDrop) {
       keep_rows.push_back(i);
-      continue;
+    } else if (pairs != nullptr) {
+      // Whole sample was duplicate boilerplate; report against itself.
+      pairs->push_back({i, i, 1.0});
     }
-    SampleContext ctx(v->as_string());
-    std::vector<std::string> units = SplitUnits(&ctx);
-    const std::vector<uint64_t>& hashes = unit_hashes_[i];
-    std::string rebuilt;
-    bool changed = false;
-    size_t kept_units = 0;
-    for (size_t u = 0; u < units.size(); ++u) {
-      bool is_dup = false;
-      if (text::CodepointCount(units[u]) >=
-          static_cast<size_t>(min_unit_length_)) {
-        is_dup = !seen.insert(hashes[u]).second;
-      }
-      if (is_dup) {
-        changed = true;
-        continue;
-      }
-      if (kept_units > 0) rebuilt.append(Joiner());
-      rebuilt += units[u];
-      ++kept_units;
-    }
-    if (!changed) {
-      keep_rows.push_back(i);
-      continue;
-    }
-    if (kept_units == 0) {
-      if (pairs != nullptr) {
-        // Whole sample was duplicate boilerplate; report against itself.
-        pairs->push_back({i, i, 1.0});
-      }
-      continue;  // drop empty sample
-    }
-    DJ_RETURN_IF_ERROR(row.Set(text_key(), json::Value(std::move(rebuilt))));
-    keep_rows.push_back(i);
   }
-  return dataset.Select(keep_rows);
+  return std::move(dataset).TakeSelect(keep_rows);
 }
 
 ParagraphExactDeduplicator::ParagraphExactDeduplicator(
     const json::Value& config)
     : GranularDeduplicatorBase("paragraph_exact_deduplicator", config) {}
 
-std::vector<std::string> ParagraphExactDeduplicator::SplitUnits(
+const std::vector<std::string>& ParagraphExactDeduplicator::SplitUnits(
     SampleContext* ctx) const {
   return ctx->Paragraphs();
 }
@@ -116,7 +135,7 @@ std::vector<std::string> ParagraphExactDeduplicator::SplitUnits(
 SentenceExactDeduplicator::SentenceExactDeduplicator(const json::Value& config)
     : GranularDeduplicatorBase("sentence_exact_deduplicator", config) {}
 
-std::vector<std::string> SentenceExactDeduplicator::SplitUnits(
+const std::vector<std::string>& SentenceExactDeduplicator::SplitUnits(
     SampleContext* ctx) const {
   return ctx->Sentences();
 }
@@ -128,7 +147,7 @@ std::vector<OpSchema> GranularDedupSchemas() {
     out.emplace_back(
         OpSchema(name, OpKind::kDeduplicator)
             .Int("min_unit_length", 8, 0, kParamInf,
-                 "units shorter than this many bytes are never deduped"));
+                 "units shorter than this many codepoints are never deduped"));
   }
   return out;
 }

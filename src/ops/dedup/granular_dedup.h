@@ -1,6 +1,7 @@
 #ifndef DJ_OPS_DEDUP_GRANULAR_DEDUP_H_
 #define DJ_OPS_DEDUP_GRANULAR_DEDUP_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -13,8 +14,13 @@ namespace dj::ops {
 /// Common implementation of corpus-wide unit-level deduplication: text is
 /// split into units (paragraphs or sentences); every unit seen before —
 /// anywhere in the dataset — is removed from the sample, keeping only its
-/// first occurrence. Samples left empty afterwards are dropped. This is the
+/// first occurrence. Units shorter than `min_unit_length` codepoints are
+/// never removed. Samples left empty afterwards are dropped. This is the
 /// line-level dedup that removes boilerplate repeated across web pages.
+///
+/// Only the first-occurrence decision is serial, and it touches hashes
+/// alone: splitting and hashing, and rebuilding the changed rows, run on
+/// the pool.
 class GranularDeduplicatorBase : public Deduplicator {
  public:
   Status ComputeHash(data::RowRef row, SampleContext* ctx) override;
@@ -25,13 +31,25 @@ class GranularDeduplicatorBase : public Deduplicator {
  protected:
   GranularDeduplicatorBase(std::string name, const json::Value& config);
 
-  /// Splits text into units with their joiner preserved on rebuild.
-  virtual std::vector<std::string> SplitUnits(SampleContext* ctx) const = 0;
+  /// Splits text into units with their joiner preserved on rebuild (the
+  /// units stay owned by `ctx`).
+  virtual const std::vector<std::string>& SplitUnits(
+      SampleContext* ctx) const = 0;
   virtual std::string_view Joiner() const = 0;
 
  private:
+  /// One unit of a row, in text order.
+  struct UnitKey {
+    uint64_t hash = 0;       ///< of the trimmed, lower-cased unit
+    bool dedupable = false;  ///< at least min_unit_length codepoints
+    bool duplicate = false;  ///< seen earlier; set by the serial pass
+  };
+
+  /// Rebuilds row `i` from its non-duplicate units.
+  Status RewriteRow(data::Dataset* dataset, size_t i) const;
+
   int64_t min_unit_length_;
-  std::vector<std::vector<uint64_t>> unit_hashes_;
+  std::vector<std::vector<UnitKey>> units_;
 };
 
 /// paragraph_exact_deduplicator: corpus-wide paragraph dedup.
@@ -41,7 +59,8 @@ class ParagraphExactDeduplicator : public GranularDeduplicatorBase {
   double CostEstimate() const override { return 2.0; }
 
  protected:
-  std::vector<std::string> SplitUnits(SampleContext* ctx) const override;
+  const std::vector<std::string>& SplitUnits(
+      SampleContext* ctx) const override;
   std::string_view Joiner() const override { return "\n\n"; }
 };
 
@@ -52,7 +71,8 @@ class SentenceExactDeduplicator : public GranularDeduplicatorBase {
   double CostEstimate() const override { return 3.0; }
 
  protected:
-  std::vector<std::string> SplitUnits(SampleContext* ctx) const override;
+  const std::vector<std::string>& SplitUnits(
+      SampleContext* ctx) const override;
   std::string_view Joiner() const override { return " "; }
 };
 

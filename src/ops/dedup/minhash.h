@@ -38,6 +38,17 @@ struct LshParams {
   size_t rows = 8;  // bands * rows must equal num_perm
 };
 
+/// One row's key in one band. A dedup keeps the entries of each band in one
+/// slice; sorted by (key, row), every bucket is a run of equal keys.
+struct LshEntry {
+  uint64_t key = 0;
+  size_t row = 0;
+
+  friend bool operator<(const LshEntry& a, const LshEntry& b) {
+    return a.key != b.key ? a.key < b.key : a.row < b.row;
+  }
+};
+
 /// Computes the band keys (hash per band) of a signature.
 std::vector<uint64_t> LshBandKeys(const std::vector<uint64_t>& signature,
                                   const LshParams& params);

@@ -84,4 +84,15 @@ Result<data::Dataset> Formatter::LoadFile(const std::string& path) {
   return LoadFromString(content, path);
 }
 
+void Deduplicator::ForEachIndex(size_t n, ThreadPool* pool,
+                                const std::function<void(size_t)>& fn) {
+  if (pool == nullptr || pool->num_threads() <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  pool->ParallelFor(n, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) fn(i);
+  });
+}
+
 }  // namespace dj::ops

@@ -1,6 +1,7 @@
 #ifndef DJ_OPS_OP_BASE_H_
 #define DJ_OPS_OP_BASE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -168,6 +169,11 @@ class Deduplicator : public Op {
 
  protected:
   using Op::Op;
+
+  /// Runs `fn(i)` for every i in [0, n): on `pool` when it has more than one
+  /// thread, inline otherwise. The row-parallel phases of every dedup use it.
+  static void ForEachIndex(size_t n, ThreadPool* pool,
+                           const std::function<void(size_t)>& fn);
 };
 
 /// Formatter: unifies an external representation into a Dataset

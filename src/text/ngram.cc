@@ -45,15 +45,20 @@ std::vector<std::string> CharNgrams(std::string_view s, size_t n) {
 
 std::vector<uint64_t> HashedWordNgrams(const std::vector<std::string>& words,
                                        size_t n) {
-  std::vector<uint64_t> out;
-  if (n == 0 || words.size() < n) return out;
-  // Precompute word hashes, then combine windows.
+  if (n == 0 || words.size() < n) return {};
   std::vector<uint64_t> wh(words.size());
   for (size_t i = 0; i < words.size(); ++i) wh[i] = Fnv1a64(words[i]);
-  out.reserve(words.size() - n + 1);
-  for (size_t i = 0; i + n <= words.size(); ++i) {
+  return NgramsOfWordHashes(wh, n);
+}
+
+std::vector<uint64_t> NgramsOfWordHashes(const std::vector<uint64_t>& hashes,
+                                         size_t n) {
+  std::vector<uint64_t> out;
+  if (n == 0 || hashes.size() < n) return out;
+  out.reserve(hashes.size() - n + 1);
+  for (size_t i = 0; i + n <= hashes.size(); ++i) {
     uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (size_t j = 0; j < n; ++j) h = HashCombine(h, wh[i + j]);
+    for (size_t j = 0; j < n; ++j) h = HashCombine(h, hashes[i + j]);
     out.push_back(h);
   }
   return out;
@@ -77,11 +82,16 @@ double DuplicateNgramRatio(const std::vector<uint64_t>& gram_hashes) {
 }
 
 double JaccardSimilarity(std::vector<uint64_t> a, std::vector<uint64_t> b) {
-  if (a.empty() && b.empty()) return 1.0;
   std::sort(a.begin(), a.end());
   a.erase(std::unique(a.begin(), a.end()), a.end());
   std::sort(b.begin(), b.end());
   b.erase(std::unique(b.begin(), b.end()), b.end());
+  return JaccardOfSortedSets(a, b);
+}
+
+double JaccardOfSortedSets(const std::vector<uint64_t>& a,
+                           const std::vector<uint64_t>& b) {
+  if (a.empty() && b.empty()) return 1.0;
   size_t i = 0, j = 0, inter = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] == b[j]) {

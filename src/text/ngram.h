@@ -16,9 +16,15 @@ std::vector<std::string> WordNgrams(const std::vector<std::string>& words,
 std::vector<std::string> CharNgrams(std::string_view s, size_t n);
 
 /// 64-bit hashes of word n-grams (cheaper than materializing strings; used
-/// by MinHash/SimHash and repetition filters).
+/// by MinHash/SimHash and repetition filters). Equals NgramsOfWordHashes
+/// over the Fnv1a64 of each word.
 std::vector<uint64_t> HashedWordNgrams(const std::vector<std::string>& words,
                                        size_t n);
+
+/// Word n-gram hashes from per-word hashes (see text::WordHashes): each
+/// window of `n` consecutive word hashes is folded with HashCombine.
+std::vector<uint64_t> NgramsOfWordHashes(const std::vector<uint64_t>& hashes,
+                                         size_t n);
 
 /// 64-bit hashes of character n-grams over raw bytes (windowed), used by the
 /// character-repetition filter; ASCII-oriented but stable for any input.
@@ -30,6 +36,11 @@ double DuplicateNgramRatio(const std::vector<uint64_t>& gram_hashes);
 
 /// Jaccard similarity between two hashed n-gram sets.
 double JaccardSimilarity(std::vector<uint64_t> a, std::vector<uint64_t> b);
+
+/// JaccardSimilarity of inputs that are already sorted and duplicate-free,
+/// without copying them.
+double JaccardOfSortedSets(const std::vector<uint64_t>& a,
+                           const std::vector<uint64_t>& b);
 
 }  // namespace dj::text
 

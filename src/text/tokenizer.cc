@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "common/hash.h"
 #include "text/utf8.h"
 
 namespace dj::text {
@@ -18,47 +19,63 @@ bool IsWordCp(uint32_t cp) {
   return false;
 }
 
+char AsciiLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A')) : c;
+}
+
+/// Calls `emit(word)` for every word token of `s`, in order. A word is a
+/// run of word codepoints, always contiguous in `s`, so tokens are views
+/// into it.
 template <typename Emit>
 void ForEachWord(std::string_view s, Emit&& emit) {
+  constexpr size_t kNoWord = std::string_view::npos;
+  size_t word_start = kNoWord;
   size_t pos = 0;
-  std::string current;
   while (pos < s.size()) {
     size_t start = pos;
     uint32_t cp;
     DecodeUtf8(s, &pos, &cp);
-    if (IsCjk(cp)) {
-      if (!current.empty()) {
-        emit(std::move(current));
-        current.clear();
-      }
-      emit(std::string(s.substr(start, pos - start)));
-    } else if (IsWordCp(cp)) {
-      current.append(s.substr(start, pos - start));
-    } else {
-      if (!current.empty()) {
-        emit(std::move(current));
-        current.clear();
-      }
+    if (IsWordCp(cp)) {  // never CJK: word codepoints end at U+04FF
+      if (word_start == kNoWord) word_start = start;
+      continue;
     }
+    if (word_start != kNoWord) {
+      emit(s.substr(word_start, start - word_start));
+      word_start = kNoWord;
+    }
+    if (IsCjk(cp)) emit(s.substr(start, pos - start));
   }
-  if (!current.empty()) emit(std::move(current));
+  if (word_start != kNoWord) emit(s.substr(word_start));
 }
 
 }  // namespace
 
 std::vector<std::string> TokenizeWords(std::string_view s) {
   std::vector<std::string> out;
-  ForEachWord(s, [&](std::string w) { out.push_back(std::move(w)); });
+  ForEachWord(s, [&](std::string_view w) { out.emplace_back(w); });
   return out;
 }
 
 std::vector<std::string> TokenizeWordsLower(std::string_view s) {
   std::vector<std::string> out = TokenizeWords(s);
   for (std::string& w : out) {
-    for (char& c : w) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
+    for (char& c : w) c = AsciiLower(c);
   }
+  return out;
+}
+
+std::vector<uint64_t> WordHashes(std::string_view s, bool lowercase) {
+  std::vector<uint64_t> out;
+  std::string lower;
+  ForEachWord(s, [&](std::string_view w) {
+    if (!lowercase) {
+      out.push_back(Fnv1a64(w));
+      return;
+    }
+    lower.assign(w);
+    for (char& c : lower) c = AsciiLower(c);
+    out.push_back(Fnv1a64(lower));
+  });
   return out;
 }
 
@@ -76,7 +93,7 @@ std::vector<std::string> TokenizeWhitespace(std::string_view s) {
 
 size_t CountWords(std::string_view s) {
   size_t count = 0;
-  ForEachWord(s, [&](std::string) { ++count; });
+  ForEachWord(s, [&](std::string_view) { ++count; });
   return count;
 }
 

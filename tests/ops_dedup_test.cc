@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "common/thread_pool.h"
+#include "data/io.h"
 #include "json/parser.h"
 #include "ops/dedup/document_dedup.h"
 #include "ops/dedup/granular_dedup.h"
 #include "ops/dedup/minhash.h"
 #include "ops/registry.h"
 #include "workload/generator.h"
+#include "test_sha256.h"
 
 namespace dj::ops {
 namespace {
@@ -155,6 +161,21 @@ TEST(DocumentMinHashDedupTest, CatchesNearDuplicates) {
   EXPECT_EQ(pairs[0].removed_row, 1u);
 }
 
+TEST(DocumentMinHashDedupTest, FewPermutationsStillLeaveOneBand) {
+  // A 0.9 threshold asks for 16 rows per band, more than num_perm 8 holds;
+  // rows are capped at num_perm, so one band remains and copies still go.
+  DocumentMinHashDeduplicator dedup(
+      Config(R"({"num_perm": 8, "jaccard_threshold": 0.9})"));
+  std::string doc = "the same short document appears twice in this corpus";
+  std::vector<DuplicatePair> pairs;
+  auto result = dedup.Deduplicate(Texts({doc, doc}), nullptr, &pairs);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().NumRows(), 1u);
+  ASSERT_EQ(pairs.size(), 1u);
+  EXPECT_EQ(pairs[0].kept_row, 0u);
+  EXPECT_EQ(pairs[0].removed_row, 1u);
+}
+
 TEST(DocumentMinHashDedupTest, LeavesDistinctDocsAlone) {
   workload::CorpusOptions options;
   options.num_docs = 50;
@@ -289,6 +310,108 @@ INSTANTIATE_TEST_SUITE_P(Methods, DedupMethodTest,
                                            "document_minhash_deduplicator",
                                            "document_simhash_deduplicator",
                                            "ngram_overlap_deduplicator"));
+
+// ------------------------------------- serial vs pooled, pinned bytes ----
+
+/// Seeded web corpus with exact copies, near copies and shared boilerplate,
+/// plus the edge rows every dedup must pass through: a non-string text, an
+/// empty text, a missing text column and two boilerplate-only rows (the
+/// second is emptied by unit-level dedup).
+data::Dataset GoldenCorpus() {
+  workload::CorpusOptions options;
+  options.style = workload::Style::kWeb;
+  options.num_docs = 400;
+  options.exact_dup_rate = 0.1;
+  options.near_dup_rate = 0.1;
+  options.boilerplate_rate = 0.3;
+  options.seed = 11;
+  data::Dataset ds = workload::CorpusGenerator(options).Generate();
+  auto row = [](json::Value text) {
+    json::Object fields;
+    fields.Set("text", std::move(text));
+    return data::Sample(std::move(fields));
+  };
+  std::string boilerplate = workload::CorpusGenerator::BoilerplateParagraph();
+  ds.AppendSample(row(json::Value(int64_t{42})));
+  ds.AppendSample(row(json::Value(std::string())));
+  json::Object meta_only;
+  meta_only.Set("meta", json::Value(std::string("no text")));
+  ds.AppendSample(data::Sample(std::move(meta_only)));
+  ds.AppendSample(row(json::Value(boilerplate)));
+  ds.AppendSample(row(json::Value(boilerplate + "\n\n" + boilerplate)));
+  return ds;
+}
+
+std::string PairsText(const std::vector<DuplicatePair>& pairs) {
+  std::string out;
+  char buf[96];
+  for (const DuplicatePair& p : pairs) {
+    std::snprintf(buf, sizeof(buf), "%zu %zu %.17g\n", p.kept_row,
+                  p.removed_row, p.similarity);
+    out += buf;
+  }
+  return out;
+}
+
+struct GoldenRun {
+  std::string jsonl;
+  std::string pairs;
+};
+
+GoldenRun RunDedup(const char* op_name, const char* config, ThreadPool* pool) {
+  auto op = OpRegistry::Global().Create(op_name, Config(config));
+  EXPECT_TRUE(op.ok()) << op.status().ToString();
+  if (!op.ok()) return {};
+  auto* dedup = static_cast<Deduplicator*>(op.value().get());
+  std::vector<DuplicatePair> pairs;
+  auto result = dedup->Deduplicate(GoldenCorpus(), pool, &pairs);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return {};
+  return {data::ToJsonl(result.value()), PairsText(pairs)};
+}
+
+/// The digests were recorded before the dedup phases moved onto the pool,
+/// so they pin today's serial and pooled runs to the older serial output.
+struct GoldenCase {
+  const char* op;
+  const char* config;
+  const char* jsonl_sha256;  ///< of ToJsonl(output)
+  const char* pairs_sha256;  ///< of PairsText(pairs)
+};
+
+TEST(DedupGoldenTest, SerialAndPooledMatchRecordedDigests) {
+  const GoldenCase cases[] = {
+      {"document_exact_deduplicator", "{}",
+       "f007ec94d852ec9aadce69aec4088a14ed8e25298cd3ebc2a8e38bf07e287456",
+       "7d633b799b752b3162cc53e3384bdd7adea0dde5a5b15dbafed6c4f56008d58a"},
+      {"document_minhash_deduplicator",
+       R"({"num_perm": 128, "jaccard_threshold": 0.7})",
+       "96477d1aaf2bf1dbcffa79ee945b92b5f9e625624e11ce31e2864ad7904721df",
+       "b26b4c9383f131d2c90ede1c1d6d22b06f784df8f54ebb91028015107cf570ba"},
+      {"document_simhash_deduplicator", "{}",
+       "b5dabb9f72e31386f0b3308fbf82bfac1b5bce2d992e5382fe5b9ef0bf03baae",
+       "ddc4aa12ad5de81017fac471038a17be580e22b62942fa2962885c8f90285d08"},
+      {"ngram_overlap_deduplicator", "{}",
+       "306f24f0d46f6423a9d86720e53b279178c95008d6c8a9aeafd71b0338733f48",
+       "e96eb24de6f84f840b02106233b739d96d233c39cb0d9defd6b3a5a22c12789a"},
+      {"paragraph_exact_deduplicator", R"({"min_unit_length": 12})",
+       "1b6840c4d41a1a373a1acf4b0f1018706526294492d5c3262745e1bc8aed31c3",
+       "c0ddd047249ceeb4a2f9dea8bd71cbaa05187b37ebc3dcbba5d69da87818620d"},
+      {"sentence_exact_deduplicator", "{}",
+       "b8ecc29b60649e85acef2aa0e342fe198f669ba3e948ab8ac312b1f72d2e0e02",
+       "c0ddd047249ceeb4a2f9dea8bd71cbaa05187b37ebc3dcbba5d69da87818620d"},
+  };
+  ThreadPool pool(4);
+  for (const GoldenCase& c : cases) {
+    GoldenRun serial = RunDedup(c.op, c.config, nullptr);
+    GoldenRun pooled = RunDedup(c.op, c.config, &pool);
+    EXPECT_EQ(serial.jsonl, pooled.jsonl) << c.op;
+    EXPECT_EQ(serial.pairs, pooled.pairs) << c.op;
+    EXPECT_FALSE(serial.pairs.empty()) << c.op;
+    EXPECT_EQ(test_util::Sha256Hex(serial.jsonl), c.jsonl_sha256) << c.op;
+    EXPECT_EQ(test_util::Sha256Hex(serial.pairs), c.pairs_sha256) << c.op;
+  }
+}
 
 }  // namespace
 }  // namespace dj::ops

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "text/lang_id.h"
 #include "text/lexicons.h"
 #include "text/ngram.h"
@@ -120,6 +121,55 @@ TEST(TokenizerTest, CountWordsMatchesTokenize) {
   EXPECT_EQ(CountWords(s), TokenizeWords(s).size());
 }
 
+/// Inputs covering every tokenizer branch: ASCII, apostrophes, Latin-1,
+/// Greek/Cyrillic, CJK runs glued to Latin, invalid and truncated UTF-8,
+/// and text with no words at all.
+std::vector<std::string> TokenizerInputs() {
+  return {
+      "",
+      " ,.;!? -- ",
+      "Hello, World! it's 42 O'Neil's DATA-set",
+      // Latin-1 letters; the multiplication and division signs split words.
+      "\xC3\x87""a \xC3\xA9t\xC3\xA9 Gr\xC3\xB6\xC3\x9F""e NA\xC3\x8FVE "
+      "a\xC3\x97""b c\xC3\xB7""d",
+      // Greek and Cyrillic words.
+      "\xCE\x95\xCE\xBB\xCE\xBB\xCE\xB7\xCE\xBD\xCE\xB9\xCE\xBA\xCE\xAC "
+      "\xD0\xA0\xD1\x83\xD1\x81 MiXeD",
+      // Han, kana and Hangul codepoints glued to Latin runs.
+      "abc\xE4\xB8\xAD\xE6\x96\x87""def\xE3\x81\x8B""XYZ\xEA\xB0\x80",
+      // Invalid bytes, an overlong encoding and a surrogate.
+      "ab\xFF\xFE""cd \xC0\xAF""ef \xED\xA0\x80gh",
+      // Sequences cut short by the end of the text.
+      "tail x\xE4\xB8",
+      "end\xC3",
+  };
+}
+
+TEST(TokenizerTest, TokensAreContiguousRuns) {
+  EXPECT_EQ(TokenizeWords("abc\xE4\xB8\xAD\xE6\x96\x87""def"),
+            (std::vector<std::string>{"abc", "\xE4\xB8\xAD", "\xE6\x96\x87",
+                                      "def"}));
+  EXPECT_EQ(TokenizeWords("ab\xFF""cd \xC3"),
+            (std::vector<std::string>{"ab", "cd"}));
+  EXPECT_EQ(TokenizeWords("x\xC3\xA9y\xC3\x97z"),
+            (std::vector<std::string>{"x\xC3\xA9y", "z"}));
+  EXPECT_TRUE(TokenizeWords("").empty());
+}
+
+TEST(TokenizerTest, WordHashesMatchTokenHashes) {
+  for (const std::string& s : TokenizerInputs()) {
+    for (bool lower : {false, true}) {
+      std::vector<uint64_t> want;
+      for (const std::string& w :
+           lower ? TokenizeWordsLower(s) : TokenizeWords(s)) {
+        want.push_back(Fnv1a64(w));
+      }
+      EXPECT_EQ(WordHashes(s, lower), want) << s << " lower=" << lower;
+    }
+    EXPECT_EQ(CountWords(s), TokenizeWords(s).size()) << s;
+  }
+}
+
 TEST(TokenizerTest, ApproxLlmTokenCountGrowsWithLongWords) {
   size_t short_words = ApproxLlmTokenCount("cat dog bird");
   size_t long_word = ApproxLlmTokenCount("antidisestablishmentarianism");
@@ -151,6 +201,18 @@ TEST(NgramTest, HashedNgramsConsistentWithStrings) {
   auto hashes = HashedWordNgrams(a, 2);
   EXPECT_EQ(hashes[0], hashes[3]);
   EXPECT_NE(hashes[0], hashes[1]);
+}
+
+TEST(NgramTest, NgramsOfWordHashesMatchesHashedWordNgrams) {
+  for (const std::string& s : TokenizerInputs()) {
+    std::vector<std::string> words = TokenizeWordsLower(s);
+    std::vector<uint64_t> hashes = WordHashes(s, /*lowercase=*/true);
+    for (size_t n : {size_t{1}, size_t{5}, words.size() + 1}) {
+      EXPECT_EQ(NgramsOfWordHashes(hashes, n), HashedWordNgrams(words, n))
+          << s << " n=" << n;
+    }
+  }
+  EXPECT_TRUE(NgramsOfWordHashes({1, 2, 3}, 0).empty());
 }
 
 TEST(NgramTest, DuplicateRatio) {

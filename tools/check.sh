@@ -24,11 +24,13 @@
 #                             watchdog dump, and the dj_bench_diff
 #                             perf-regression gate incl. its must-fail
 #                             self-test
-#   9. benchmark oracle       one short perfbench pack_web run: every
-#                             dj_process output must match the naive-plan
-#                             reference byte for byte
-#  10. TSan                   concurrency-heavy tests, then re-run under
-#                             three seeds of schedule perturbation (DJ_SCHED)
+#   9. benchmark oracle       short perfbench pack_web and dedup_web runs:
+#                             every dj_process output must match the
+#                             naive-plan reference byte for byte
+#  10. TSan                   concurrency-heavy tests (incl. the dedup OPs,
+#                             whose pooled phases write rows), then re-run
+#                             under three seeds of schedule perturbation
+#                             (DJ_SCHED)
 # Run from anywhere inside the repo.
 #
 # Usage: tools/check.sh [build-dir]   (default: build-check)
@@ -260,25 +262,28 @@ if [ "${degrade_rc}" -ne 1 ]; then
   exit 1
 fi
 
-echo "== benchmark byte oracle (perfbench pack_web, seed 1) =="
-# A short end-to-end benchmark run (Release build in .bench_build/): the
+echo "== benchmark byte oracle (perfbench pack_web + dedup_web, seed 1) =="
+# Short end-to-end benchmark runs (Release build in .bench_build/), every
+# timed run's output compared byte for byte against the naive-plan
+# reference; the last stdout line is the result. pack_web covers the
 # read -> parse -> serialize -> compress -> write path of dj_process at
-# --np 4, with every timed run's .djds.djlz output compared byte for byte
-# against the naive-plan reference. The last stdout line is the result.
-bench_result="$(cd "${repo_dir}" && python3 perfbench/run.py \
-  --workload pack_web --seed 1 --seconds 3 --trace 0 | tail -n 1)"
-if ! python3 -c '
+# --np 4, dedup_web the pooled phases of the global dedup OPs.
+for workload in pack_web dedup_web; do
+  bench_result="$(cd "${repo_dir}" && python3 perfbench/run.py \
+    --workload "${workload}" --seed 1 --seconds 3 --trace 0 | tail -n 1)"
+  if ! python3 -c '
 import json, sys
 r = json.loads(sys.argv[1])
 sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
 ' "${bench_result}"; then
-  echo "${bench_result}" >&2
-  echo "check.sh: pack_web benchmark run was not byte-correct" >&2
-  exit 1
-fi
-echo "pack_web outputs byte-identical to the reference"
+    echo "${bench_result}" >&2
+    echo "check.sh: ${workload} benchmark run was not byte-correct" >&2
+    exit 1
+  fi
+  echo "${workload} outputs byte-identical to the reference"
+done
 
-echo "== TSan pass (core/dist/obs + parallel I/O + fault tests) =="
+echo "== TSan pass (core/dist/obs + parallel I/O + dedup + fault tests) =="
 # The suppressions file only mutes the deliberate lock-order inversions
 # that tests/concurrency_test.cc constructs on purpose (see tools/tsan.supp).
 export TSAN_OPTIONS="suppressions=${repo_dir}/tools/tsan.supp"
@@ -288,7 +293,7 @@ cmake -B "${tsan_dir}" -S "${repo_dir}" \
   -DDJ_SANITIZE=thread
 cmake --build "${tsan_dir}" -j --target \
   core_test dist_test obs_test data_test io_parallel_test compress_test \
-  fault_test concurrency_test swar_test
+  ops_dedup_test fault_test concurrency_test swar_test
 "${tsan_dir}/tests/swar_test"
 "${tsan_dir}/tests/concurrency_test"
 "${tsan_dir}/tests/core_test"
@@ -297,6 +302,7 @@ cmake --build "${tsan_dir}" -j --target \
 "${tsan_dir}/tests/data_test"
 "${tsan_dir}/tests/io_parallel_test"
 "${tsan_dir}/tests/compress_test"
+"${tsan_dir}/tests/ops_dedup_test"
 # The full crash matrix is slow under TSan; run the registry/determinism/
 # checkpoint suites plus one representative recipe matrix.
 "${tsan_dir}/tests/fault_test" --gtest_filter="FaultRegistryTest.*:FaultDeterminismTest.*:FaultObsTest.*:AllCrashWindows/*:CheckpointCorruptionTest.*:*CrashMatrixTest*minimal_dedup*"
