@@ -153,7 +153,7 @@ int main() {
   report.Add("determinism_ok", determinism_ok ? 1.0 : 0.0);
   const unsigned hw = std::thread::hardware_concurrency();
   report.Add("hardware_threads", static_cast<double>(hw));
-  // Which kernel level the data plane dispatched to (0=scalar .. 3=neon);
+  // Which kernel level the data plane dispatched to (0=scalar .. 2=sse2);
   // environment metric, informational in dj_bench_diff.
   report.Add("simd_level", dj::swar::ActiveLevelMetric());
   std::printf("\ncombined parse+serialize speedup at 4 threads: %.2fx "

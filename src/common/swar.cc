@@ -8,9 +8,6 @@
 #if defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
 #define DJ_SWAR_HAVE_SSE2 1
 #include <emmintrin.h>
-#elif defined(__ARM_NEON) || defined(__aarch64__)
-#define DJ_SWAR_HAVE_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace dj::swar {
@@ -48,19 +45,9 @@ inline uint64_t ControlByteMask(uint64_t w) {
 Level DetectCompiledLevel() {
 #if defined(DJ_SWAR_HAVE_SSE2)
   return Level::kSse2;
-#elif defined(DJ_SWAR_HAVE_NEON)
-  return Level::kNeon;
 #else
   return Level::kSwar;
 #endif
-}
-
-Level ParseLevelName(const char* name) {
-  if (std::strcmp(name, "scalar") == 0) return Level::kScalar;
-  if (std::strcmp(name, "swar") == 0) return Level::kSwar;
-  if (std::strcmp(name, "sse2") == 0) return Level::kSse2;
-  if (std::strcmp(name, "neon") == 0) return Level::kNeon;
-  return DetectCompiledLevel();
 }
 
 Level ResolveLevel() {
@@ -74,18 +61,7 @@ Level ResolveLevel() {
   if (force != nullptr && *force != '\0' && std::strcmp(force, "0") != 0) {
     return Level::kScalar;
   }
-  Level compiled = DetectCompiledLevel();
-  const char* request = std::getenv("DJ_SIMD");
-  if (request != nullptr && *request != '\0') {
-    Level requested = ParseLevelName(request);
-    // kScalar/kSwar are always available; a vector level must match what
-    // this binary was compiled with or we stay at the compiled best.
-    if (requested == Level::kScalar || requested == Level::kSwar ||
-        requested == compiled) {
-      return requested;
-    }
-  }
-  return compiled;
+  return DetectCompiledLevel();
 }
 
 std::atomic<int> g_level{-1};
@@ -93,14 +69,6 @@ std::atomic<int> g_level{-1};
 #if defined(DJ_SWAR_HAVE_SSE2)
 /// 16-bit mask with bit i set when pred matches data[i].
 inline int Sse2MoveMask(__m128i m) { return _mm_movemask_epi8(m); }
-#endif
-
-#if defined(DJ_SWAR_HAVE_NEON)
-/// 64-bit nibble mask: 4 bits per input byte, 0xF where `eq` is 0xFF.
-inline uint64_t NeonNibbleMask(uint8x16_t eq) {
-  return vget_lane_u64(
-      vreinterpret_u64_u8(vshrn_n_u16(vreinterpretq_u16_u8(eq), 4)), 0);
-}
 #endif
 
 // ------------------------------------------------------- SWAR kernel bodies
@@ -282,65 +250,6 @@ size_t JsonCleanSpanSse2(const char* data, size_t n) {
 }
 #endif  // DJ_SWAR_HAVE_SSE2
 
-// ------------------------------------------------------- NEON kernel bodies
-
-#if defined(DJ_SWAR_HAVE_NEON)
-void StructuralScanNeon(const char* data, size_t n,
-                        std::vector<uint32_t>* newlines,
-                        std::vector<uint32_t>* quotes_escapes) {
-  const uint8x16_t quote = vdupq_n_u8('"');
-  const uint8x16_t backslash = vdupq_n_u8('\\');
-  const uint8x16_t newline = vdupq_n_u8('\n');
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    uint8x16_t v = vld1q_u8(reinterpret_cast<const uint8_t*>(data + i));
-    uint64_t nl = NeonNibbleMask(vceqq_u8(v, newline));
-    uint64_t qe = NeonNibbleMask(
-        vorrq_u8(vceqq_u8(v, quote), vceqq_u8(v, backslash)));
-    while (nl != 0) {
-      size_t bit = static_cast<size_t>(std::countr_zero(nl));
-      newlines->push_back(static_cast<uint32_t>(i + (bit >> 2)));
-      nl &= ~(0xFULL << (bit & ~size_t{3}));
-    }
-    while (qe != 0) {
-      size_t bit = static_cast<size_t>(std::countr_zero(qe));
-      quotes_escapes->push_back(static_cast<uint32_t>(i + (bit >> 2)));
-      qe &= ~(0xFULL << (bit & ~size_t{3}));
-    }
-  }
-  for (; i < n; ++i) {
-    char c = data[i];
-    if (c == '\n') {
-      newlines->push_back(static_cast<uint32_t>(i));
-    } else if (c == '"' || c == '\\') {
-      quotes_escapes->push_back(static_cast<uint32_t>(i));
-    }
-  }
-}
-
-size_t JsonCleanSpanNeon(const char* data, size_t n) {
-  const uint8x16_t quote = vdupq_n_u8('"');
-  const uint8x16_t backslash = vdupq_n_u8('\\');
-  const uint8x16_t space = vdupq_n_u8(0x20);
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    uint8x16_t v = vld1q_u8(reinterpret_cast<const uint8_t*>(data + i));
-    uint8x16_t bad = vorrq_u8(vorrq_u8(vceqq_u8(v, quote),
-                                       vceqq_u8(v, backslash)),
-                              vcltq_u8(v, space));
-    uint64_t m = NeonNibbleMask(bad);
-    if (m != 0) {
-      return i + (static_cast<size_t>(std::countr_zero(m)) >> 2);
-    }
-  }
-  for (; i < n; ++i) {
-    unsigned char c = static_cast<unsigned char>(data[i]);
-    if (c < 0x20 || c == '"' || c == '\\') return i;
-  }
-  return n;
-}
-#endif  // DJ_SWAR_HAVE_NEON
-
 constexpr uint64_t kHashMul1 = 0x9E3779B185EBCA87ULL;
 constexpr uint64_t kHashMul2 = 0xC2B2AE3D27D4EB4FULL;
 constexpr uint64_t kHashSeed = 0x84222325CBF29CE4ULL;
@@ -422,8 +331,6 @@ const char* LevelName(Level level) {
       return "swar";
     case Level::kSse2:
       return "sse2";
-    case Level::kNeon:
-      return "neon";
   }
   return "?";
 }
@@ -457,10 +364,6 @@ void StructuralScan(const char* data, size_t n,
 #if defined(DJ_SWAR_HAVE_SSE2)
     case Level::kSse2:
       return StructuralScanSse2(data, n, newlines, quotes_escapes);
-#endif
-#if defined(DJ_SWAR_HAVE_NEON)
-    case Level::kNeon:
-      return StructuralScanNeon(data, n, newlines, quotes_escapes);
 #endif
     default:
       return StructuralScanSwar(data, n, newlines, quotes_escapes);
@@ -505,10 +408,6 @@ size_t JsonCleanSpan(const char* data, size_t n) {
 #if defined(DJ_SWAR_HAVE_SSE2)
     case Level::kSse2:
       return JsonCleanSpanSse2(data, n);
-#endif
-#if defined(DJ_SWAR_HAVE_NEON)
-    case Level::kNeon:
-      return JsonCleanSpanNeon(data, n);
 #endif
     default:
       return JsonCleanSpanSwar(data, n);

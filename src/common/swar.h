@@ -10,26 +10,24 @@ namespace dj::swar {
 
 /// Dispatch level of the data-plane kernels. Kernels come in pairs: a
 /// byte-at-a-time scalar twin (the reference semantics) and an accelerated
-/// body — portable 8-bytes-at-a-time SWAR, or 16-bytes-at-a-time SSE2/NEON
-/// where the compiler targets them. Every accelerated kernel is required to
+/// body — portable 8-bytes-at-a-time SWAR, or 16-bytes-at-a-time SSE2
+/// where the compiler targets x86-64. Every accelerated kernel is required to
 /// be byte-identical to its scalar twin (tests/swar_test.cc enforces this
 /// differentially); the level only changes speed, never bytes.
 enum class Level : int {
   kScalar = 0,  ///< byte loops (DJ_FORCE_SCALAR, or differential baseline)
   kSwar = 1,    ///< 64-bit SWAR words, portable C++
   kSse2 = 2,    ///< 128-bit SSE2 (any x86-64)
-  kNeon = 3,    ///< 128-bit NEON (aarch64)
 };
 
-/// Human-readable level name ("scalar", "swar", "sse2", "neon").
+/// Human-readable level name ("scalar", "swar", "sse2").
 const char* LevelName(Level level);
 
 /// Highest level this binary was compiled with.
 Level CompiledLevel();
 
 /// The level kernels currently dispatch to. Resolved once from the
-/// environment: DJ_FORCE_SCALAR=1 pins kScalar; DJ_SIMD=<name> requests a
-/// specific level (capped at CompiledLevel()); otherwise CompiledLevel().
+/// environment: DJ_FORCE_SCALAR=1 pins kScalar; otherwise CompiledLevel().
 Level ActiveLevel();
 
 /// Numeric ActiveLevel() for the `simd.kernel` metrics gauge.

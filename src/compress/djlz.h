@@ -32,12 +32,12 @@ Result<std::string> DecompressBlock(std::string_view block,
 /// therefore the compressed bytes — never depend on the pool width.
 constexpr size_t kFrameBlockSize = 1u << 20;
 
-/// Framed API, version 2: magic + version + raw size + a block table
-/// (per-block compressed size + FNV checksum of the raw block) + the
-/// independently compressed ~1 MiB blocks. Blocks compress and decompress
-/// on `pool` when given; output is byte-identical with or without a pool.
-/// Version-1 single-block frames (written before the block table existed)
-/// still decompress. This is what the cache layer writes to disk.
+/// Framed API, version 3: magic + version + raw size + a block table
+/// (per-block compressed size + swar::Hash64 checksum of the compressed
+/// block) + the independently compressed ~1 MiB blocks. Blocks compress and
+/// decompress on `pool` when given; output is byte-identical with or without
+/// a pool. Other frame versions are rejected as Corruption. This is what the
+/// cache layer writes to disk.
 std::string CompressFrame(std::string_view input, ThreadPool* pool = nullptr);
 Result<std::string> DecompressFrame(std::string_view frame,
                                     ThreadPool* pool = nullptr);

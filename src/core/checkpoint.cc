@@ -98,34 +98,37 @@ Result<CheckpointState> CheckpointManager::LoadLatest() const {
   }
   const json::Value& manifest = parsed.value();
 
-  // Schema-2 manifests name their blob file and carry its checksum; legacy
-  // manifests implicitly mean checkpoint.djds with no verification data.
-  std::string blob_path = LegacyDatasetPath();
-  if (manifest.is_object()) {
-    if (const json::Value* bf = manifest.as_object().Find("blob_file");
-        bf != nullptr && bf->is_string()) {
-      blob_path = dir_ + "/" + bf->as_string();
-    }
+  // Only schema-2 manifests load: they name their blob file and carry the
+  // size, checksum and row count every blob is verified against. Anything
+  // else (older layouts included) is no usable checkpoint.
+  const bool complete =
+      manifest.is_object() && manifest.GetInt("schema", 0) == 2 &&
+      manifest.GetString("blob_file", "") != "" &&
+      manifest.GetInt("blob_bytes", -1) >= 0 &&
+      manifest.as_object().Contains("blob_checksum") &&
+      manifest.GetInt("num_rows", -1) >= 0;
+  if (!complete) {
+    return Status::Corruption(
+        "checkpoint manifest " + ManifestPath() +
+        " is not a schema-2 manifest with blob_file, blob_bytes, "
+        "blob_checksum and num_rows");
   }
+  const std::string blob_path =
+      dir_ + "/" + manifest.GetString("blob_file", "");
   auto blob = data::ReadFile(blob_path);
   if (!blob.ok()) {
     return Status::Corruption("checkpoint manifest " + ManifestPath() +
                               " points at missing/unreadable blob '" +
                               blob_path + "': " + blob.status().message());
   }
-  if (manifest.is_object() &&
-      manifest.as_object().Contains("blob_checksum")) {
-    const uint64_t want =
-        static_cast<uint64_t>(manifest.GetInt("blob_checksum", 0));
-    const int64_t want_bytes = manifest.GetInt("blob_bytes", -1);
-    if ((want_bytes >= 0 &&
-         blob.value().size() != static_cast<size_t>(want_bytes)) ||
-        Fnv1a64(blob.value()) != want) {
-      return Status::Corruption(
-          "checkpoint blob '" + blob_path +
-          "' does not match its manifest (checksum/size mismatch — torn or "
-          "corrupted write); refusing to decode");
-    }
+  if (blob.value().size() !=
+          static_cast<size_t>(manifest.GetInt("blob_bytes", -1)) ||
+      Fnv1a64(blob.value()) !=
+          static_cast<uint64_t>(manifest.GetInt("blob_checksum", 0))) {
+    return Status::Corruption(
+        "checkpoint blob '" + blob_path +
+        "' does not match its manifest (checksum/size mismatch — torn or "
+        "corrupted write); refusing to decode");
   }
 
   CheckpointState state;
@@ -140,8 +143,7 @@ Result<CheckpointState> CheckpointManager::LoadLatest() const {
                               dataset.status().message());
   }
   const int64_t want_rows = manifest.GetInt("num_rows", -1);
-  if (want_rows >= 0 &&
-      dataset.value().NumRows() != static_cast<size_t>(want_rows)) {
+  if (dataset.value().NumRows() != static_cast<size_t>(want_rows)) {
     return Status::Corruption(
         "checkpoint blob '" + blob_path + "' decoded to " +
         std::to_string(dataset.value().NumRows()) + " rows but the manifest "
@@ -165,7 +167,6 @@ void CheckpointManager::Clear() const {
   std::error_code ec;
   fs::remove(ManifestPath(), ec);
   fs::remove(ManifestPath() + ".tmp", ec);
-  fs::remove(LegacyDatasetPath(), ec);
   RemoveStaleBlobs(/*keep_basename=*/"");
 }
 

@@ -52,10 +52,11 @@ class CheckpointManager {
   Status Save(const CheckpointState& state) const;
 
   /// Loads the latest checkpoint. Returns NotFound when none exists and
-  /// Corruption when the manifest is unreadable, the blob is missing or
-  /// torn, or the blob bytes do not match the manifest's checksum/row
-  /// count — callers treat both as "no usable checkpoint" but the error
-  /// text tells an operator what actually happened.
+  /// Corruption when the manifest is unreadable or not a complete schema-2
+  /// manifest (blob_file, blob_bytes, blob_checksum, num_rows), the blob is
+  /// missing or torn, or the blob bytes do not match the manifest's
+  /// checksum/row count — callers treat both as "no usable checkpoint" but
+  /// the error text tells an operator what actually happened.
   Result<CheckpointState> LoadLatest() const;
 
   /// Loads only when the stored pipeline key matches `expected_key` for the
@@ -63,14 +64,11 @@ class CheckpointManager {
   /// absence returns NotFound.
   Result<CheckpointState> LoadIfCompatible(uint64_t expected_key) const;
 
-  /// Removes the manifest, every checkpoint blob (current scheme and
-  /// legacy single-file), and any stale temp files.
+  /// Removes the manifest, every checkpoint blob, and any stale temp files.
   void Clear() const;
 
  private:
   std::string ManifestPath() const { return dir_ + "/checkpoint.json"; }
-  /// Legacy (pre-atomic-Save) single blob path, still readable.
-  std::string LegacyDatasetPath() const { return dir_ + "/checkpoint.djds"; }
   std::string BlobFileFor(uint64_t pipeline_key) const;
   void RemoveStaleBlobs(const std::string& keep_basename) const;
 

@@ -6,7 +6,6 @@
 
 #include "common/file_util.h"
 #include "common/swar.h"
-#include "common/hash.h"
 #include "common/sched_point.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -22,13 +21,11 @@ namespace dj::data {
 namespace {
 
 constexpr char kDatasetMagic[4] = {'D', 'J', 'D', 'S'};
-constexpr uint8_t kDatasetVersionV1 = 1;
-constexpr uint8_t kDatasetVersionV2 = 2;
-// v3 is the v2 layout with swar::Hash64 header/shard checksums in place of
-// byte-serial FNV-1a: same corruption coverage, ~4x the checksum speed.
-constexpr uint8_t kDatasetVersionV3 = 3;
+// The only version read or written. A blob of any other version is
+// rejected as corrupt, and the cache layer recomputes such an entry.
+constexpr uint8_t kDatasetVersion = 3;
 
-/// Sharding defaults for the v2 container. The auto shard count depends
+/// Sharding defaults for the container. The auto shard count depends
 /// only on the row count — never on the pool — so serial and parallel
 /// serialization produce identical bytes.
 constexpr size_t kRowsPerShard = 2048;
@@ -66,7 +63,7 @@ class CountingSink {
   size_t size_ = 0;
 };
 
-/// Appends to a growing string (SerializeValue, the v1 writer).
+/// Appends to a growing string (SerializeValue).
 class StringSink {
  public:
   explicit StringSink(std::string* out) : out_(out) {}
@@ -187,21 +184,21 @@ void EncodeValue(const json::Value& v, Sink* out) {
   }
 }
 
-/// One row-range shard of the v3 container, as its shard table entry.
+/// One row-range shard of the container, as its shard table entry.
 struct ShardEntry {
   size_t rows = 0;
   size_t length = 0;
   uint64_t checksum = 0;
 };
 
-/// The v3 header up to (not including) its checksum: magic, version, row
+/// The header up to (not including) its checksum: magic, version, row
 /// and column counts, column names, and the shard table. Checksums are
 /// fixed-width, so the header's size does not depend on their values.
 template <typename Sink>
-void EncodeHeaderV3(size_t num_rows, const std::vector<std::string>& names,
-                    const std::vector<ShardEntry>& shards, Sink* out) {
+void EncodeHeader(size_t num_rows, const std::vector<std::string>& names,
+                  const std::vector<ShardEntry>& shards, Sink* out) {
   out->Append(kDatasetMagic, 4);
-  out->Put(static_cast<char>(kDatasetVersionV3));
+  out->Put(static_cast<char>(kDatasetVersion));
   PutVarint(num_rows, out);
   PutVarint(names.size(), out);
   for (const std::string& name : names) PutString(name, out);
@@ -325,7 +322,7 @@ void RecordIoMetrics(const char* op, uint64_t rows, uint64_t bytes,
   m->GetCounter(prefix + ".rows")->Add(rows);
   m->GetCounter(prefix + ".bytes")->Add(bytes);
   m->GetHistogram(prefix + "_seconds")->Observe(seconds);
-  // Which kernel level the data plane dispatched to (0=scalar .. 3=neon),
+  // Which kernel level the data plane dispatched to (0=scalar .. 2=sse2),
   // so metrics snapshots record the configuration a run measured.
   m->GetGauge("simd.kernel")->Set(swar::ActiveLevelMetric());
 }
@@ -447,52 +444,10 @@ void MaybeParallelFor(ThreadPool* pool, size_t n,
   }
 }
 
-Result<Dataset> DeserializeDatasetV1(std::string_view bytes) {
-  size_t pos = 5;
-  uint64_t num_rows = 0, num_cols = 0;
-  if (!GetVarint(bytes, &pos, &num_rows) ||
-      !GetVarint(bytes, &pos, &num_cols)) {
-    return Status::Corruption("truncated DJDS header");
-  }
-  // Every cell costs at least one tag byte and every column a name; counts
-  // beyond the remaining bytes are corrupt (and must not drive reserve()).
-  if (num_cols > bytes.size() - pos) {
-    return Status::Corruption("DJDS column count exceeds payload");
-  }
-  if (num_cols > 0 && num_rows > bytes.size() - pos) {
-    return Status::Corruption("DJDS row count exceeds payload");
-  }
-  std::vector<std::string> col_names;
-  std::vector<std::vector<json::Value>> cols;
-  col_names.reserve(num_cols);
-  cols.reserve(num_cols);
-  for (uint64_t c = 0; c < num_cols; ++c) {
-    std::string name;
-    if (!GetString(bytes, &pos, &name)) {
-      return Status::Corruption("truncated column name");
-    }
-    std::vector<json::Value> cells;
-    cells.reserve(num_rows);
-    for (uint64_t r = 0; r < num_rows; ++r) {
-      json::Value v;
-      DJ_RETURN_IF_ERROR(DeserializeValueAt(bytes, &pos, &v, 0));
-      cells.push_back(std::move(v));
-    }
-    col_names.push_back(std::move(name));
-    cols.push_back(std::move(cells));
-  }
-  if (pos != bytes.size()) {
-    return Status::Corruption("trailing bytes in DJDS blob");
-  }
-  return Dataset::FromColumns(std::move(col_names), std::move(cols));
-}
-
-Result<Dataset> DeserializeDatasetV2(std::string_view bytes, ThreadPool* pool,
-                                     uint8_t version) {
-  // v2 and v3 share the layout and differ only in checksum function.
-  auto checksum_of = [version](std::string_view s) {
-    return version == kDatasetVersionV3 ? swar::Hash64(s.data(), s.size())
-                                        : Fnv1a64(s);
+Result<Dataset> DeserializeShardedDataset(std::string_view bytes,
+                                          ThreadPool* pool) {
+  auto checksum_of = [](std::string_view s) {
+    return swar::Hash64(s.data(), s.size());
   };
   size_t pos = 5;
   uint64_t num_rows = 0, num_cols = 0;
@@ -824,21 +779,6 @@ Result<json::Value> DeserializeValue(std::string_view bytes) {
   return v;
 }
 
-std::string SerializeDatasetV1(const Dataset& dataset) {
-  std::string out;
-  StringSink sink(&out);
-  sink.Append(kDatasetMagic, 4);
-  sink.Put(static_cast<char>(kDatasetVersionV1));
-  PutVarint(dataset.NumRows(), &sink);
-  std::vector<std::string> names = dataset.ColumnNames();
-  PutVarint(names.size(), &sink);
-  for (const std::string& name : names) {
-    PutString(name, &sink);
-    for (const auto& cell : *dataset.Column(name)) EncodeValue(cell, &sink);
-  }
-  return out;
-}
-
 std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool,
                              size_t num_shards) {
   DJ_OBS_SPAN("io.serialize_dataset");
@@ -879,7 +819,7 @@ std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool,
     }
   });
   CountingSink header;
-  EncodeHeaderV3(num_rows, names, shards, &header);
+  EncodeHeader(num_rows, names, shards, &header);
   std::vector<size_t> offsets(num_shards);
   size_t total = header.size() + 8;  // + header checksum
   for (size_t s = 0; s < num_shards; ++s) {
@@ -900,7 +840,7 @@ std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool,
   // The header goes last: its shard table carries the checksums, and its
   // own checksum covers everything before it.
   BufferSink head(out.data());
-  EncodeHeaderV3(num_rows, names, shards, &head);
+  EncodeHeader(num_rows, names, shards, &head);
   PutU64Fixed(swar::Hash64(out.data(), header.size()), &head);
   RecordIoMetrics("serialize", num_rows, out.size(), watch.ElapsedSeconds());
   return out;
@@ -912,13 +852,10 @@ Result<Dataset> DeserializeDataset(std::string_view bytes, ThreadPool* pool) {
   if (bytes.size() < 5 || std::memcmp(bytes.data(), kDatasetMagic, 4) != 0) {
     return Status::Corruption("not a DJDS dataset blob");
   }
-  uint8_t version = static_cast<uint8_t>(bytes[4]);
-  Result<Dataset> out =
-      version == kDatasetVersionV1 ? DeserializeDatasetV1(bytes)
-      : version == kDatasetVersionV2 || version == kDatasetVersionV3
-          ? DeserializeDatasetV2(bytes, pool, version)
-          : Result<Dataset>(
-                Status::Corruption("unsupported DJDS version"));
+  if (static_cast<uint8_t>(bytes[4]) != kDatasetVersion) {
+    return Status::Corruption("unsupported DJDS version");
+  }
+  Result<Dataset> out = DeserializeShardedDataset(bytes, pool);
   if (out.ok()) {
     RecordIoMetrics("deserialize", out.value().NumRows(), bytes.size(),
                     watch.ElapsedSeconds());

@@ -47,16 +47,12 @@ Status WriteJsonl(const Dataset& dataset, const std::string& path,
 /// place and decoded straight into whole columns, on `pool` when given.
 /// The byte stream depends only on the dataset and `num_shards` (0 =
 /// deterministic auto from the row count), so serial and parallel runs
-/// produce identical blobs. Version-1 and version-2 blobs still
-/// deserialize.
+/// produce identical blobs. Other container versions are rejected as
+/// Corruption.
 std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool = nullptr,
                              size_t num_shards = 0);
 Result<Dataset> DeserializeDataset(std::string_view bytes,
                                    ThreadPool* pool = nullptr);
-
-/// Legacy version-1 writer, kept for backward-compat tests and tooling that
-/// needs to produce blobs older readers understand.
-std::string SerializeDatasetV1(const Dataset& dataset);
 
 /// Binary codec for a single JSON value (shared with the dataset codec).
 void SerializeValue(const json::Value& v, std::string* out);

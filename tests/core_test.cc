@@ -2,6 +2,8 @@
 
 #include <filesystem>
 
+#include "common/hash.h"
+#include "common/swar.h"
 #include "core/cache_manager.h"
 #include "core/checkpoint.h"
 #include "core/executor.h"
@@ -539,6 +541,86 @@ process:
   RunReport report;
   ASSERT_TRUE(e2.Run(NoisyCorpus(), ops2, &report).ok());
   EXPECT_EQ(report.cache_hits, 1u);  // mapper hit, filter recomputed
+}
+
+uint64_t LoadU64(std::string_view bytes, size_t pos) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[pos + i])) << (8 * i);
+  }
+  return v;
+}
+
+void StoreU64(uint64_t v, size_t pos, std::string* bytes) {
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[pos + i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+/// `ds` as the retired DJDS version 2 wrote it: the single-shard layout of
+/// version 3 with FNV-1a-64 in place of swar::Hash64 for the shard and
+/// header checksums.
+std::string DjdsV2Blob(const data::Dataset& ds) {
+  std::string blob = data::SerializeDataset(ds, nullptr, /*num_shards=*/1);
+  blob[4] = 2;
+  // The header ends in the shard checksum and then the header checksum; the
+  // payload follows. The split is where the stored shard checksum matches.
+  for (size_t h = 13; h + 8 <= blob.size(); ++h) {
+    const std::string_view payload = std::string_view(blob).substr(h + 8);
+    if (LoadU64(blob, h - 8) != swar::Hash64(payload.data(), payload.size())) {
+      continue;
+    }
+    StoreU64(Fnv1a64(payload), h - 8, &blob);
+    StoreU64(Fnv1a64(std::string_view(blob).substr(0, h)), h, &blob);
+    return blob;
+  }
+  ADD_FAILURE() << "no single-shard checksum found in the DJDS blob";
+  return blob;
+}
+
+TEST(ExecutorTest, RetiredCacheEntriesAreEvictedAndRecomputed) {
+  // A cache filled by an older build holds DJDS version-2 entries, which no
+  // longer load: each is evicted, its unit recomputed and stored again as
+  // version 3, and the output is exactly that of a run without a cache.
+  std::string dir = TempDir("cache_retired");
+  Executor::Options options;
+  options.use_cache = true;
+  options.cache_dir = dir;
+  ASSERT_TRUE(
+      Executor(options).Run(NoisyCorpus(), FourteenOpPipeline(), nullptr).ok());
+  size_t planted = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string path = entry.path().string();
+    auto blob = data::ReadFile(path);
+    ASSERT_TRUE(blob.ok());
+    auto ds = data::DeserializeDataset(blob.value());
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    ASSERT_TRUE(data::WriteFile(path, DjdsV2Blob(ds.value())).ok());
+    ++planted;
+  }
+  ASSERT_GT(planted, 0u);
+
+  RunReport report;
+  auto cached = Executor(options).Run(NoisyCorpus(), FourteenOpPipeline(),
+                                      &report);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  EXPECT_EQ(report.cache_hits, 0u);
+  auto uncached = Executor(Executor::Options{})
+                      .Run(NoisyCorpus(), FourteenOpPipeline(), nullptr);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  EXPECT_EQ(data::SerializeDataset(cached.value(), nullptr, 1),
+            data::SerializeDataset(uncached.value(), nullptr, 1));
+
+  size_t rewritten = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    auto blob = data::ReadFile(entry.path().string());
+    ASSERT_TRUE(blob.ok());
+    ASSERT_GT(blob.value().size(), 4u);
+    EXPECT_EQ(blob.value()[4], 3) << entry.path();
+    EXPECT_TRUE(data::DeserializeDataset(blob.value()).ok()) << entry.path();
+    ++rewritten;
+  }
+  EXPECT_EQ(rewritten, planted);
 }
 
 // --------------------------------------------------------- checkpoint ----

@@ -169,8 +169,10 @@ TEST(DatasetTest, AppendSampleMoveMatchesCopy) {
     Sample temp = sample;
     moved.AppendSample(std::move(temp));
   }
-  // The v1 blob fingerprints row count, column order, nulls and values.
-  EXPECT_EQ(SerializeDatasetV1(moved), SerializeDatasetV1(copied));
+  // The single-shard blob fingerprints row count, column order, nulls and
+  // values.
+  EXPECT_EQ(SerializeDataset(moved, nullptr, /*num_shards=*/1),
+            SerializeDataset(copied, nullptr, /*num_shards=*/1));
   EXPECT_EQ(moved.ColumnNames(),
             (std::vector<std::string>{"text", "meta", "stats", "extra"}));
   EXPECT_TRUE(moved.Cell("extra", 0).is_null());

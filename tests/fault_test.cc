@@ -9,6 +9,7 @@
 #include "core/checkpoint.h"
 #include "core/executor.h"
 #include "data/io.h"
+#include "json/parser.h"
 #include "json/writer.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -293,25 +294,40 @@ TEST(CheckpointCorruptionTest, TornManifestIsRejected) {
   EXPECT_NE(loaded.status().ToString().find("torn"), std::string::npos);
 }
 
-TEST(CheckpointCorruptionTest, LegacyManifestWithoutChecksumStillLoads) {
-  // Pre-atomic-Save layout: checkpoint.djds + a manifest with no
-  // blob_file/blob_checksum fields.
-  std::string dir = TempDir("legacy");
-  data::Dataset ds = data::Dataset::FromTexts({"old", "format"});
-  ASSERT_TRUE(
-      data::WriteFile(dir + "/checkpoint.djds", data::SerializeDataset(ds))
-          .ok());
-  ASSERT_TRUE(data::WriteFile(dir + "/checkpoint.json",
-                              "{\"next_op_index\": 4, \"pipeline_key\": 77, "
-                              "\"num_rows\": 2}")
-                  .ok());
+TEST(CheckpointCorruptionTest, IncompleteOrOldManifestsAreRejected) {
+  // Only a schema-2 manifest that names its blob and carries the blob's
+  // size, checksum and row count loads; anything less restarts the run.
+  struct Case {
+    const char* name;
+    const char* drop;  // field removed from a valid manifest, or nullptr
+    int64_t schema;
+  };
+  for (const Case& c : {Case{"no_checksum", "blob_checksum", 2},
+                        Case{"no_blob_file", "blob_file", 2},
+                        Case{"schema_1", nullptr, 1},
+                        Case{"schema_3", nullptr, 3}}) {
+    std::string dir = TempDir(std::string("manifest_") + c.name);
+    core::CheckpointManager mgr(dir);
+    ASSERT_TRUE(mgr.Save(MakeState(2, 77, {"old", "format"})).ok());
+    ASSERT_TRUE(mgr.LoadLatest().ok());
+    auto manifest = json::ParseStrict(
+        data::ReadFile(dir + "/checkpoint.json").value());
+    ASSERT_TRUE(manifest.ok());
+    json::Object edited = manifest.value().as_object();
+    if (c.drop != nullptr) {
+      ASSERT_TRUE(edited.Erase(c.drop));
+    }
+    edited.Set("schema", json::Value(c.schema));
+    ASSERT_TRUE(data::WriteFile(dir + "/checkpoint.json",
+                                json::Write(json::Value(std::move(edited))))
+                    .ok());
 
-  core::CheckpointManager mgr(dir);
-  auto loaded = mgr.LoadLatest();
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().next_op_index, 4u);
-  EXPECT_EQ(loaded.value().pipeline_key, 77u);
-  EXPECT_EQ(loaded.value().dataset.NumRows(), 2u);
+    auto loaded = mgr.LoadLatest();
+    ASSERT_FALSE(loaded.ok()) << c.name;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << c.name;
+    EXPECT_NE(loaded.status().message().find("schema-2"), std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 // ------------------------------------------------------- crash matrix ----
@@ -389,7 +405,8 @@ TEST_P(CrashMatrixTest, KillAtEveryBoundaryResumeByteIdentical) {
   core::Executor clean_executor(base);
   auto clean = clean_executor.Run(SmallCorpus(), ops.value());
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  const std::string want_bytes = data::SerializeDatasetV1(clean.value());
+  const std::string want_bytes =
+      data::SerializeDataset(clean.value(), nullptr, /*num_shards=*/1);
 
   // Kill at boundary b (the b-th probe of exec.op_abort), resume, compare.
   // The loop discovers the number of plan units implicitly: when the
@@ -409,7 +426,8 @@ TEST_P(CrashMatrixTest, KillAtEveryBoundaryResumeByteIdentical) {
     FaultRegistry::Global().Reset();
     if (crashed.ok()) {
       // Fewer than b boundaries: the whole matrix for this recipe is done.
-      EXPECT_EQ(data::SerializeDatasetV1(crashed.value()), want_bytes);
+      EXPECT_EQ(data::SerializeDataset(crashed.value(), nullptr, 1),
+                want_bytes);
       break;
     }
     ASSERT_EQ(crashed.status().code(), StatusCode::kAborted)
@@ -428,7 +446,7 @@ TEST_P(CrashMatrixTest, KillAtEveryBoundaryResumeByteIdentical) {
       EXPECT_TRUE(report.resumed_from_checkpoint)
           << GetParam() << " boundary " << b;
     }
-    ASSERT_EQ(data::SerializeDatasetV1(resumed.value()), want_bytes)
+    ASSERT_EQ(data::SerializeDataset(resumed.value(), nullptr, 1), want_bytes)
         << GetParam() << ": resume after kill at boundary " << b
         << " diverged from the uninterrupted run";
     fs::remove_all(dir);

@@ -1,5 +1,5 @@
 // Tests for the parallel data plane: chunked JSONL parse/serialize, the
-// sharded DJDS v2 container, and the block-parallel djlz frame. The central
+// sharded DJDS v3 container, and the block-parallel djlz frame. The central
 // property throughout is determinism — a pool must never change the bytes.
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/random.h"
 #include "common/swar.h"
 #include "common/thread_pool.h"
@@ -79,11 +78,13 @@ Dataset RandomDataset(Rng* rng, size_t rows, size_t cols) {
   return ds;
 }
 
-/// Canonical byte form for dataset equality (v1 is unsharded, so it is a
-/// stable fingerprint that includes nulls and column order).
-std::string Fingerprint(const Dataset& ds) { return SerializeDatasetV1(ds); }
+/// Canonical byte form for dataset equality: a single-shard blob depends
+/// only on the dataset, nulls and column order included.
+std::string Fingerprint(const Dataset& ds) {
+  return SerializeDataset(ds, nullptr, /*num_shards=*/1);
+}
 
-// ------------------------------------------------------------ DJDS v2 ----
+// ------------------------------------------------------------ DJDS v3 ----
 
 TEST(DjdsV2Test, RoundTripRandomDatasetsAcrossShardCounts) {
   Rng rng(7);
@@ -124,21 +125,9 @@ TEST(DjdsV2Test, AutoShardCountScalesWithRows) {
   auto back = DeserializeDataset(blob);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(Fingerprint(back.value()), Fingerprint(big));
-  // Sharded v2 of a non-trivial dataset must differ from v1 bytes (it
-  // really is the new container, not a relabeled v1).
-  EXPECT_NE(blob, SerializeDatasetV1(big));
-}
-
-TEST(DjdsV2Test, V1BlobStillDeserializes) {
-  Rng rng(17);
-  Dataset ds = RandomDataset(&rng, 200, 3);
-  std::string v1 = SerializeDatasetV1(ds);
-  ThreadPool pool(4);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    auto back = DeserializeDataset(v1, p);
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_EQ(Fingerprint(back.value()), Fingerprint(ds));
-  }
+  // The auto shard count really split it: the bytes differ from the
+  // single-shard container of the same dataset.
+  EXPECT_NE(blob, Fingerprint(big));
 }
 
 TEST(DjdsV2Test, EmptyDatasetRoundTrips) {
@@ -184,12 +173,14 @@ TEST(DjdsV2Test, RejectsOverflowingVarintLengths) {
   // Header claiming a gigantic column-name length must fail without
   // allocating (the old `*pos + len` check could wrap past the size).
   std::string blob("DJDS", 4);
-  blob.push_back(1);             // v1
+  blob.push_back(3);             // v3
   blob.push_back(1);             // num_rows = 1
   blob.push_back(1);             // num_cols = 1
   for (int i = 0; i < 9; ++i) blob.push_back('\xFF');
   blob.push_back(1);             // 10-byte varint ~ 2^63
-  EXPECT_FALSE(DeserializeDataset(blob).ok());
+  auto r = DeserializeDataset(blob);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "truncated column name");
 }
 
 TEST(DjdsV2Test, RejectsRowCountBeyondPayload) {
@@ -219,6 +210,24 @@ TEST(DjdsV2Test, RejectsRowCountBeyondPayload) {
   auto r = DeserializeDataset(blob);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+}
+
+TEST(DjdsV2Test, RetiredAndUnknownVersionsAreRejected) {
+  // Only version 3 is read. A blob stamped 1 or 2 (retired generations) or
+  // 4 (not yet defined) is Corruption, whatever follows the version byte.
+  Rng rng(29);
+  const std::string blob = SerializeDataset(RandomDataset(&rng, 50, 2));
+  ThreadPool pool(2);
+  for (char version : {1, 2, 4}) {
+    std::string bad = blob;
+    bad[4] = version;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      auto r = DeserializeDataset(bad, p);
+      ASSERT_FALSE(r.ok()) << "version " << int{version};
+      EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+      EXPECT_EQ(r.status().message(), "unsupported DJDS version");
+    }
+  }
 }
 
 // ----------------------------------------------------- DJDS v3 golden ----
@@ -487,7 +496,7 @@ TEST(ParallelJsonlTest, WhitespaceOnlyLinesAndMissingTrailingNewline) {
   }
 }
 
-// ------------------------------------------------------------ djlz v2 ----
+// ------------------------------------------------------------ djlz v3 ----
 
 TEST(DjlzBlockParallelTest, MultiBlockFrameRoundTrips) {
   Rng rng(41);
@@ -529,32 +538,9 @@ TEST(DjlzBlockParallelTest, DetectsCorruptionInAnyBlock) {
   EXPECT_FALSE(compress::DecompressFrame(frame).ok());
 }
 
-TEST(DjlzBlockParallelTest, V1SingleBlockFrameStillDecompresses) {
-  std::string input = "legacy frame payload legacy frame payload";
-  // Hand-build the old 29-byte-header single-block frame.
-  std::string block = compress::CompressBlock(input);
-  std::string frame("DJLZ", 4);
-  frame.push_back(1);  // version 1
-  auto put_u64 = [&frame](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      frame.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-  };
-  put_u64(input.size());
-  put_u64(block.size());
-  put_u64(Fnv1a64(input));
-  frame += block;
-  ThreadPool pool(4);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    auto out = compress::DecompressFrame(frame, p);
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    EXPECT_EQ(out.value(), input);
-  }
-}
-
 TEST(DjlzBlockParallelTest, RejectsFrameWithBogusBlockCount) {
   std::string frame("DJLZ", 4);
-  frame.push_back(2);  // version 2
+  frame.push_back(3);  // version 3
   auto put_u64 = [&frame](uint64_t v) {
     for (int i = 0; i < 8; ++i) {
       frame.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
@@ -562,7 +548,30 @@ TEST(DjlzBlockParallelTest, RejectsFrameWithBogusBlockCount) {
   };
   put_u64(100);                    // raw_size
   put_u64(0xFFFFFFFFFFFFFFFFull);  // absurd num_blocks
-  EXPECT_FALSE(compress::DecompressFrame(frame).ok());
+  auto r = compress::DecompressFrame(frame);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "djlz: block table exceeds frame");
+}
+
+TEST(DjlzBlockParallelTest, RetiredAndUnknownFrameVersionsAreRejected) {
+  // Only frame version 3 is read. Versions 1 and 2 (retired) and 4 (not yet
+  // defined) are Corruption, both for a real multi-block payload and for a
+  // frame cut short right after the version byte.
+  const std::string input(2 * compress::kFrameBlockSize + 17, 'v');
+  const std::string frame = compress::CompressFrame(input);
+  ThreadPool pool(2);
+  for (char version : {1, 2, 4}) {
+    for (size_t len : {size_t{5}, size_t{29}, frame.size()}) {
+      std::string bad = frame.substr(0, len);
+      bad[4] = version;
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        auto r = compress::DecompressFrame(bad, p);
+        ASSERT_FALSE(r.ok()) << "version " << int{version} << " len " << len;
+        EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+        EXPECT_EQ(r.status().message(), "djlz: unsupported frame version");
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ fault injection --
