@@ -98,6 +98,25 @@ bool Contains(std::string_view s, std::string_view needle) {
   return s.find(needle) != std::string_view::npos;
 }
 
+size_t FindLast(std::string_view s, std::string_view needle) {
+  if (needle.size() > s.size()) return std::string_view::npos;
+  if (needle.empty()) return s.size();
+  // Every candidate start lies in [0, limit).
+  size_t limit = s.size() - needle.size() + 1;
+  while (limit > 0) {
+    const void* hit = memrchr(s.data(), needle.front(), limit);
+    if (hit == nullptr) break;
+    const size_t pos = static_cast<size_t>(static_cast<const char*>(hit) -
+                                           s.data());
+    if (std::memcmp(s.data() + pos + 1, needle.data() + 1,
+                    needle.size() - 1) == 0) {
+      return pos;
+    }
+    limit = pos;
+  }
+  return std::string_view::npos;
+}
+
 std::string ReplaceAll(std::string_view s, std::string_view from,
                        std::string_view to) {
   if (from.empty()) return std::string(s);

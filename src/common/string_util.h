@@ -32,6 +32,11 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 bool Contains(std::string_view s, std::string_view needle);
 
+/// Start of the last occurrence of `needle` in `s`, or npos; the same answer
+/// as std::string_view::rfind. Candidates are found with memrchr on the
+/// needle's first byte, so only positions holding that byte are compared.
+size_t FindLast(std::string_view s, std::string_view needle);
+
 /// Replaces every occurrence of `from` (must be non-empty) with `to`.
 std::string ReplaceAll(std::string_view s, std::string_view from,
                        std::string_view to);

@@ -25,11 +25,10 @@ std::string_view RowText(data::RowRef row, const std::string& key) {
 std::vector<uint64_t> WordHashesOf(std::string_view text, SampleContext* ctx,
                                    bool lowercase) {
   if (ctx == nullptr) return text::WordHashes(text, lowercase);
-  const std::vector<std::string>& words =
-      lowercase ? ctx->WordsLower() : ctx->Words();
+  if (lowercase) return ctx->WordHashesLower();
   std::vector<uint64_t> hashes;
-  hashes.reserve(words.size());
-  for (const std::string& w : words) hashes.push_back(Fnv1a64(w));
+  hashes.reserve(ctx->Words().size());
+  for (std::string_view w : ctx->Words()) hashes.push_back(Fnv1a64(w));
   return hashes;
 }
 

@@ -32,7 +32,7 @@ double FlaggedWordsFilter::ComputeValue(std::string_view,
   const auto& words = ctx->WordsLower();
   if (words.empty()) return 0.0;
   size_t flagged = 0;
-  for (const std::string& w : words) {
+  for (std::string_view w : words) {
     if (lexicon_.Contains(w)) ++flagged;
   }
   return static_cast<double>(flagged) / static_cast<double>(words.size());
@@ -50,7 +50,7 @@ double StopwordsFilter::ComputeValue(std::string_view,
   if (words.empty()) return 0.0;
   const text::Lexicon& stopwords = text::Lexicon::EnglishStopwords();
   size_t hits = 0;
-  for (const std::string& w : words) {
+  for (std::string_view w : words) {
     if (stopwords.Contains(w)) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(words.size());
@@ -67,7 +67,7 @@ double TextActionFilter::ComputeValue(std::string_view,
                                       SampleContext* ctx) const {
   const text::Lexicon& verbs = text::Lexicon::CommonVerbs();
   size_t count = 0;
-  for (const std::string& w : ctx->WordsLower()) {
+  for (std::string_view w : ctx->WordsLower()) {
     if (verbs.Contains(w)) ++count;
   }
   return static_cast<double>(count);

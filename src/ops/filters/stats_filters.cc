@@ -175,8 +175,8 @@ WordRepetitionFilter::WordRepetitionFilter(const json::Value& config)
 
 double WordRepetitionFilter::ComputeValue(std::string_view,
                                           SampleContext* ctx) const {
-  return text::DuplicateNgramRatio(
-      text::HashedWordNgrams(ctx->WordsLower(), static_cast<size_t>(rep_len_)));
+  return text::DuplicateNgramRatio(text::NgramsOfWordHashes(
+      ctx->WordHashesLower(), static_cast<size_t>(rep_len_)));
 }
 
 // ---------------------------------------------------- ParagraphNumFilter --

@@ -160,14 +160,16 @@ Result<std::string> RemoveBibliographyMapper::TransformText(
     size_t pos = input.find(marker);
     if (pos != std::string_view::npos && pos < cut) cut = pos;
   }
-  // Plain "References" heading on its own line near the end.
+  // Plain "References" heading on its own line near the end: the last
+  // occurrence counts, and only when it starts past the middle, so the
+  // search covers the second half alone.
+  const size_t half = input.size() / 2 + 1;
+  const std::string_view late =
+      half < input.size() ? input.substr(half) : std::string_view();
   for (std::string_view heading :
        {"\nReferences\n", "\nREFERENCES\n", "\n# References\n"}) {
-    size_t pos = input.rfind(heading);
-    if (pos != std::string_view::npos && pos < cut &&
-        pos > input.size() / 2) {
-      cut = pos;
-    }
+    size_t pos = FindLast(late, heading);
+    if (pos != std::string_view::npos && half + pos < cut) cut = half + pos;
   }
   if (cut == std::string_view::npos) return std::string(input);
   return std::string(input.substr(0, cut));

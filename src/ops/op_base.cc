@@ -67,16 +67,27 @@ Status Filter::WriteStat(data::RowRef row, std::string_view key,
   return WriteStatSorted(row, key, std::move(value));
 }
 
+namespace {
+
+/// `key` of the row's "stats" object (the flat key WriteStatSorted writes),
+/// or nullptr.
+const json::Value* FindStat(data::RowRef row, std::string_view key) {
+  const json::Value* stats = row.Get(data::kStatsField);
+  if (stats == nullptr || !stats->is_object()) return nullptr;
+  return stats->as_object().Find(key);
+}
+
+}  // namespace
+
 bool Filter::HasStat(data::RowRef row, std::string_view key) const {
-  std::string path = std::string(data::kStatsField) + "." + std::string(key);
-  const json::Value* v = row.Get(path);
+  const json::Value* v = FindStat(row, key);
   return v != nullptr && !v->is_null();
 }
 
 double Filter::ReadStat(data::RowRef row, std::string_view key,
                         double def) const {
-  std::string path = std::string(data::kStatsField) + "." + std::string(key);
-  return row.GetNumber(path, def);
+  const json::Value* v = FindStat(row, key);
+  return v != nullptr && v->is_number() ? v->as_double() : def;
 }
 
 Result<data::Dataset> Formatter::LoadFile(const std::string& path) {

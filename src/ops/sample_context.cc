@@ -1,6 +1,6 @@
 #include "ops/sample_context.h"
 
-#include <cctype>
+#include <algorithm>
 
 #include "common/string_util.h"
 #include "text/sentence.h"
@@ -24,26 +24,43 @@ uint64_t SampleContext::Counters::Total() {
   return words.load() + lines.load() + sentences.load() + paragraphs.load();
 }
 
-const std::vector<std::string>& SampleContext::Words() {
+const std::vector<std::string_view>& SampleContext::Words() {
   if (!words_.has_value()) {
-    words_ = text::TokenizeWords(text_);
+    words_ = text::WordViews(text_);
     Counters::words.fetch_add(1, std::memory_order_relaxed);
   }
   return *words_;
 }
 
-const std::vector<std::string>& SampleContext::WordsLower() {
+const std::vector<std::string_view>& SampleContext::WordsLower() {
   if (!words_lower_.has_value()) {
-    // Derive from Words() so the expensive tokenization is shared.
-    std::vector<std::string> lower = Words();
-    for (std::string& w : lower) {
-      for (char& c : w) {
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-      }
+    // The fold keeps every byte offset and every token boundary, so each
+    // word of Words() has its lower-cased form at the same offset of the
+    // folded text.
+    const std::vector<std::string_view>& words = Words();
+    lower_text_.resize(text_.size());
+    std::transform(text_.begin(), text_.end(), lower_text_.begin(),
+                   text::AsciiLower);
+    std::vector<std::string_view> lower;
+    lower.reserve(words.size());
+    for (std::string_view w : words) {
+      lower.emplace_back(lower_text_.data() + (w.data() - text_.data()),
+                         w.size());
     }
     words_lower_ = std::move(lower);
   }
   return *words_lower_;
+}
+
+const std::vector<uint64_t>& SampleContext::WordHashesLower() {
+  if (!word_hashes_lower_.has_value()) {
+    const std::vector<std::string_view>& words = Words();
+    std::vector<uint64_t> hashes;
+    hashes.reserve(words.size());
+    for (std::string_view w : words) hashes.push_back(text::LowerWordHash(w));
+    word_hashes_lower_ = std::move(hashes);
+  }
+  return *word_hashes_lower_;
 }
 
 const std::vector<std::string>& SampleContext::Lines() {

@@ -15,6 +15,11 @@ namespace dj::ops {
 /// in a fused group need the same representation, it is computed once here
 /// instead of once per OP.
 ///
+/// The text is tokenized once, into views: Words(), WordsLower() and
+/// WordHashesLower() are all derived from that one pass, and none of them
+/// builds a string per token. Views into the text stay valid for as long as
+/// the text passed to the constructor does.
+///
 /// Global counters record how many times each representation was actually
 /// computed — the fusion benchmarks and tests use them to demonstrate the
 /// saved work.
@@ -27,11 +32,17 @@ class SampleContext {
 
   std::string_view text() const { return text_; }
 
-  /// Word tokens (lazily computed, cached).
-  const std::vector<std::string>& Words();
+  /// Word tokens as views into text() (lazily computed, cached); equal to
+  /// text::TokenizeWords.
+  const std::vector<std::string_view>& Words();
 
-  /// Lower-cased word tokens.
-  const std::vector<std::string>& WordsLower();
+  /// Lower-cased word tokens; equal to text::TokenizeWordsLower. Views into
+  /// one folded copy of the text owned by this context.
+  const std::vector<std::string_view>& WordsLower();
+
+  /// text::LowerWordHash of each word; equal to
+  /// text::WordHashes(text(), /*lowercase=*/true).
+  const std::vector<uint64_t>& WordHashesLower();
 
   /// Lines (split on '\n').
   const std::vector<std::string>& Lines();
@@ -54,8 +65,10 @@ class SampleContext {
 
  private:
   std::string_view text_;
-  std::optional<std::vector<std::string>> words_;
-  std::optional<std::vector<std::string>> words_lower_;
+  std::optional<std::vector<std::string_view>> words_;
+  std::string lower_text_;  ///< text_ folded by text::AsciiLower
+  std::optional<std::vector<std::string_view>> words_lower_;
+  std::optional<std::vector<uint64_t>> word_hashes_lower_;
   std::optional<std::vector<std::string>> lines_;
   std::optional<std::vector<std::string>> sentences_;
   std::optional<std::vector<std::string>> paragraphs_;

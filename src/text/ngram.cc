@@ -1,7 +1,6 @@
 #include "text/ngram.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/hash.h"
 #include "text/utf8.h"
@@ -76,8 +75,11 @@ std::vector<uint64_t> HashedCharNgrams(std::string_view s, size_t n) {
 
 double DuplicateNgramRatio(const std::vector<uint64_t>& gram_hashes) {
   if (gram_hashes.empty()) return 0.0;
-  std::unordered_set<uint64_t> unique(gram_hashes.begin(), gram_hashes.end());
-  return 1.0 - static_cast<double>(unique.size()) /
+  std::vector<uint64_t> sorted = gram_hashes;
+  std::sort(sorted.begin(), sorted.end());
+  const size_t unique = static_cast<size_t>(
+      std::unique(sorted.begin(), sorted.end()) - sorted.begin());
+  return 1.0 - static_cast<double>(unique) /
                    static_cast<double>(gram_hashes.size());
 }
 

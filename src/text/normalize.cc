@@ -9,40 +9,50 @@
 namespace dj::text {
 
 std::string NormalizeWhitespace(std::string_view s) {
+  constexpr size_t kNoRun = std::string_view::npos;
   std::string out;
   out.reserve(s.size());
   int pending_newlines = 0;
   bool pending_space = false;
   bool at_line_start = true;
+  // Non-whitespace codepoints are copied a run at a time: pending
+  // separators change only on whitespace, so they are emitted once, where a
+  // run starts.
+  size_t run_start = kNoRun;
   size_t pos = 0;
   while (pos < s.size()) {
     size_t start = pos;
     uint32_t cp;
     DecodeUtf8(s, &pos, &cp);
+    if (!IsWhitespaceCp(cp)) {
+      if (run_start != kNoRun) continue;
+      if (pending_newlines > 0) {
+        if (!out.empty()) {
+          out.append(pending_newlines >= 2 ? "\n\n" : "\n");
+        }
+        pending_newlines = 0;
+        pending_space = false;
+      } else if (pending_space) {
+        out.push_back(' ');
+        pending_space = false;
+      }
+      run_start = start;
+      at_line_start = false;
+      continue;
+    }
+    if (run_start != kNoRun) {
+      out.append(s.substr(run_start, start - run_start));
+      run_start = kNoRun;
+    }
     if (cp == '\n') {
       ++pending_newlines;
       pending_space = false;
       at_line_start = true;
-      continue;
+    } else if (cp != '\r' && !at_line_start) {
+      pending_space = true;
     }
-    if (cp == '\r') continue;
-    if (IsWhitespaceCp(cp)) {
-      if (!at_line_start) pending_space = true;
-      continue;
-    }
-    if (pending_newlines > 0) {
-      if (!out.empty()) {
-        out.append(pending_newlines >= 2 ? "\n\n" : "\n");
-      }
-      pending_newlines = 0;
-      pending_space = false;
-    } else if (pending_space) {
-      out.push_back(' ');
-      pending_space = false;
-    }
-    out.append(s.substr(start, pos - start));
-    at_line_start = false;
   }
+  if (run_start != kNoRun) out.append(s.substr(run_start));
   return out;
 }
 
@@ -96,8 +106,8 @@ std::string NormalizePunctuation(std::string_view s) {
 
 std::string FixUnicode(std::string_view s) {
   // First pass: textual replacements for the classic UTF-8-as-Latin-1
-  // mojibake ("â€™" for right quote, etc.).
-  std::string fixed(s);
+  // mojibake ("â€™" for right quote, etc.). Every pattern starts with byte
+  // 0xC3, so text without that byte skips the pass and its copies.
   static const std::pair<std::string_view, std::string_view> kMojibake[] = {
       {"\xC3\xA2\xE2\x82\xAC\xE2\x84\xA2", "'"},   // â€™
       {"\xC3\xA2\xE2\x82\xAC\xC5\x93", "\""},      // â€œ
@@ -105,23 +115,34 @@ std::string FixUnicode(std::string_view s) {
       {"\xC3\xA2\xE2\x82\xAC\xE2\x80\x9C", "-"},   // â€“
       {"\xC3\x82\xC2\xA0", " "},                   // Â<nbsp>
   };
-  for (const auto& [from, to] : kMojibake) {
-    fixed = ReplaceAll(fixed, from, to);
+  std::string fixed;
+  std::string_view text = s;
+  if (text.find('\xC3') != std::string_view::npos) {
+    fixed = std::string(s);
+    for (const auto& [from, to] : kMojibake) {
+      fixed = ReplaceAll(fixed, from, to);
+    }
+    text = fixed;
   }
   // Second pass: drop replacement chars, control chars, BOM, zero-width.
+  // Kept codepoints are copied a run at a time.
   std::string out;
-  out.reserve(fixed.size());
+  out.reserve(text.size());
+  size_t run_start = 0;
   size_t pos = 0;
-  while (pos < fixed.size()) {
+  while (pos < text.size()) {
     size_t start = pos;
     uint32_t cp;
-    bool valid = DecodeUtf8(fixed, &pos, &cp);
-    if (!valid || cp == 0xFFFD) continue;
-    if (cp < 0x20 && cp != '\n' && cp != '\t') continue;
-    if (cp == 0x7F) continue;
-    if (cp == 0xFEFF || (cp >= 0x200B && cp <= 0x200F)) continue;
-    out.append(fixed, start, pos - start);
+    bool valid = DecodeUtf8(text, &pos, &cp);
+    bool drop = !valid || cp == 0xFFFD ||
+                (cp < 0x20 && cp != '\n' && cp != '\t') || cp == 0x7F ||
+                cp == 0xFEFF || (cp >= 0x200B && cp <= 0x200F);
+    if (drop) {
+      out.append(text.substr(run_start, start - run_start));
+      run_start = pos;
+    }
   }
+  out.append(text.substr(run_start));
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "text/tokenizer.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "common/hash.h"
@@ -17,10 +18,6 @@ bool IsWordCp(uint32_t cp) {
   // Greek / Cyrillic letters.
   if (cp >= 0x0370 && cp <= 0x04FF) return true;
   return false;
-}
-
-char AsciiLower(char c) {
-  return c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A')) : c;
 }
 
 /// Calls `emit(word)` for every word token of `s`, in order. A word is a
@@ -50,6 +47,12 @@ void ForEachWord(std::string_view s, Emit&& emit) {
 
 }  // namespace
 
+std::vector<std::string_view> WordViews(std::string_view s) {
+  std::vector<std::string_view> out;
+  ForEachWord(s, [&](std::string_view w) { out.push_back(w); });
+  return out;
+}
+
 std::vector<std::string> TokenizeWords(std::string_view s) {
   std::vector<std::string> out;
   ForEachWord(s, [&](std::string_view w) { out.emplace_back(w); });
@@ -64,17 +67,24 @@ std::vector<std::string> TokenizeWordsLower(std::string_view s) {
   return out;
 }
 
+uint64_t LowerWordHash(std::string_view word) {
+  // Fnv1a64 streams: hashing the folded bytes a chunk at a time, seeding
+  // each chunk with the hash so far, equals hashing the whole folded word.
+  char chunk[64];
+  uint64_t h = Fnv1a64(std::string_view());
+  while (!word.empty()) {
+    size_t n = std::min(word.size(), sizeof(chunk));
+    for (size_t i = 0; i < n; ++i) chunk[i] = AsciiLower(word[i]);
+    h = Fnv1a64(std::string_view(chunk, n), h);
+    word.remove_prefix(n);
+  }
+  return h;
+}
+
 std::vector<uint64_t> WordHashes(std::string_view s, bool lowercase) {
   std::vector<uint64_t> out;
-  std::string lower;
   ForEachWord(s, [&](std::string_view w) {
-    if (!lowercase) {
-      out.push_back(Fnv1a64(w));
-      return;
-    }
-    lower.assign(w);
-    for (char& c : lower) c = AsciiLower(c);
-    out.push_back(Fnv1a64(lower));
+    out.push_back(lowercase ? LowerWordHash(w) : Fnv1a64(w));
   });
   return out;
 }

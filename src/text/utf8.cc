@@ -7,7 +7,9 @@ constexpr uint32_t kReplacement = 0xFFFD;
 
 }  // namespace
 
-bool DecodeUtf8(std::string_view s, size_t* pos, uint32_t* codepoint) {
+namespace internal {
+
+bool DecodeUtf8Slow(std::string_view s, size_t* pos, uint32_t* codepoint) {
   if (*pos >= s.size()) return false;
   uint8_t b0 = static_cast<uint8_t>(s[*pos]);
   if (b0 < 0x80) {
@@ -58,6 +60,8 @@ bool DecodeUtf8(std::string_view s, size_t* pos, uint32_t* codepoint) {
   return true;
 }
 
+}  // namespace internal
+
 void EncodeUtf8(uint32_t cp, std::string* out) {
   if (cp < 0x80) {
     out->push_back(static_cast<char>(cp));
@@ -105,31 +109,6 @@ std::vector<uint32_t> DecodeAll(std::string_view s) {
     out.push_back(cp);
   }
   return out;
-}
-
-bool IsCjk(uint32_t cp) {
-  return (cp >= 0x4E00 && cp <= 0x9FFF) ||    // CJK Unified
-         (cp >= 0x3400 && cp <= 0x4DBF) ||    // Extension A
-         (cp >= 0xF900 && cp <= 0xFAFF) ||    // Compatibility
-         (cp >= 0x20000 && cp <= 0x2A6DF) ||  // Extension B
-         (cp >= 0x3040 && cp <= 0x30FF) ||    // Hiragana/Katakana
-         (cp >= 0xAC00 && cp <= 0xD7AF);      // Hangul syllables
-}
-
-bool IsAsciiAlnum(uint32_t cp) {
-  return IsAsciiAlpha(cp) || IsAsciiDigit(cp);
-}
-
-bool IsAsciiAlpha(uint32_t cp) {
-  return (cp >= 'a' && cp <= 'z') || (cp >= 'A' && cp <= 'Z');
-}
-
-bool IsAsciiDigit(uint32_t cp) { return cp >= '0' && cp <= '9'; }
-
-bool IsWhitespaceCp(uint32_t cp) {
-  return cp == ' ' || cp == '\t' || cp == '\n' || cp == '\r' || cp == '\f' ||
-         cp == '\v' || cp == 0x00A0 || cp == 0x3000 ||
-         (cp >= 0x2000 && cp <= 0x200B);
 }
 
 bool IsPunctuationCp(uint32_t cp) {

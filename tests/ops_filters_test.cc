@@ -5,6 +5,7 @@
 #include "ops/filters/lexicon_filters.h"
 #include "ops/filters/model_filters.h"
 #include "ops/filters/stats_filters.h"
+#include "text/tokenizer.h"
 
 namespace dj::ops {
 namespace {
@@ -108,6 +109,58 @@ TEST(WordNumFilterTest, CountsWords) {
   EXPECT_TRUE(out.keep);
   EXPECT_DOUBLE_EQ(out.stat, 3.0);
   EXPECT_FALSE(RunFilter(f, "two words").keep);
+}
+
+/// Texts for the word-context tests: ASCII, mixed case, Latin-1 and Greek
+/// capitals (left alone by the ASCII fold), CJK, malformed bytes and text
+/// without words.
+const std::vector<std::string>& WordContextInputs() {
+  static const std::vector<std::string> inputs = {
+      "",
+      " ,.;!? -- ",
+      "exactly three words",
+      "Hello, World! it's 42 O'Neil's DATA-set MiXeD",
+      "\xC3\x87""A \xC3\x89T\xC3\x89 GR\xC3\x96\xC3\x9F""E NA\xC3\x8FVE a\xC3\x97""B",
+      "\xCE\x95\xCE\xBB\xCE\xBB\xCE\x97\xCE\x9D \xD0\xA0\xD1\x83\xD0\xA1 Zeta",
+      "ABC\xE4\xB8\xAD\xE6\x96\x87""Def\xE3\x81\x8B""XyZ",
+      "AB\xFF\xFE""CD \xC0\xAF""Ef \xED\xA0\x80Gh tail X\xE4\xB8",
+  };
+  return inputs;
+}
+
+TEST(WordNumFilterTest, CountEqualsTokenizerCounts) {
+  WordNumFilter f(Config(R"({"min": 0})"));
+  for (const std::string& s : WordContextInputs()) {
+    FilterOutcome out = RunFilter(f, s, "num_words");
+    EXPECT_EQ(out.stat, static_cast<double>(text::CountWords(s))) << s;
+    EXPECT_EQ(out.stat, static_cast<double>(text::TokenizeWords(s).size()))
+        << s;
+  }
+}
+
+TEST(SampleContextTest, WordViewsMatchTokenizerOnNonAsciiInput) {
+  for (const std::string& s : WordContextInputs()) {
+    SampleContext ctx(s);
+    EXPECT_EQ(std::vector<std::string>(ctx.Words().begin(),
+                                       ctx.Words().end()),
+              text::TokenizeWords(s))
+        << s;
+    EXPECT_EQ(std::vector<std::string>(ctx.WordsLower().begin(),
+                                       ctx.WordsLower().end()),
+              text::TokenizeWordsLower(s))
+        << s;
+    EXPECT_EQ(ctx.WordHashesLower(), text::WordHashes(s, /*lowercase=*/true))
+        << s;
+  }
+}
+
+TEST(SampleContextTest, OneTokenizationServesAllWordViews) {
+  SampleContext::Counters::Reset();
+  SampleContext ctx("Some Words and MORE words");
+  ctx.Words();
+  ctx.WordsLower();
+  ctx.WordHashesLower();
+  EXPECT_EQ(SampleContext::Counters::words.load(), 1u);
 }
 
 TEST(WordRepetitionFilterTest, RepeatedPhrases) {

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+#include <unordered_set>
+
 #include "common/hash.h"
+#include "common/string_util.h"
 #include "text/lang_id.h"
 #include "text/lexicons.h"
 #include "text/ngram.h"
@@ -72,6 +77,119 @@ TEST(Utf8Test, CodepointCount) {
   EXPECT_EQ(CodepointCount("abc"), 3u);
   EXPECT_EQ(CodepointCount("\xE4\xB8\xAD\xE6\x96\x87"), 2u);
   EXPECT_EQ(CodepointCount(""), 0u);
+}
+
+/// The decoder as it was before its one-byte case moved inline, kept as the
+/// reference the inlined DecodeUtf8 is compared with.
+bool ReferenceDecodeUtf8(std::string_view s, size_t* pos,
+                         uint32_t* codepoint) {
+  if (*pos >= s.size()) return false;
+  uint8_t b0 = static_cast<uint8_t>(s[*pos]);
+  if (b0 < 0x80) {
+    *codepoint = b0;
+    ++*pos;
+    return true;
+  }
+  int len;
+  uint32_t cp;
+  if ((b0 & 0xE0) == 0xC0) {
+    len = 2;
+    cp = b0 & 0x1F;
+  } else if ((b0 & 0xF0) == 0xE0) {
+    len = 3;
+    cp = b0 & 0x0F;
+  } else if ((b0 & 0xF8) == 0xF0) {
+    len = 4;
+    cp = b0 & 0x07;
+  } else {
+    *codepoint = 0xFFFD;
+    ++*pos;
+    return false;
+  }
+  if (*pos + len > s.size()) {
+    *codepoint = 0xFFFD;
+    ++*pos;
+    return false;
+  }
+  for (int i = 1; i < len; ++i) {
+    uint8_t b = static_cast<uint8_t>(s[*pos + i]);
+    if ((b & 0xC0) != 0x80) {
+      *codepoint = 0xFFFD;
+      ++*pos;
+      return false;
+    }
+    cp = (cp << 6) | (b & 0x3F);
+  }
+  if ((len == 2 && cp < 0x80) || (len == 3 && cp < 0x800) ||
+      (len == 4 && cp < 0x10000) || (cp >= 0xD800 && cp <= 0xDFFF) ||
+      cp > 0x10FFFF) {
+    *codepoint = 0xFFFD;
+    ++*pos;
+    return false;
+  }
+  *codepoint = cp;
+  *pos += len;
+  return true;
+}
+
+/// Whether both decoders give the same result, codepoint and advance on
+/// `s` from every start offset; names the first difference otherwise.
+testing::AssertionResult DecodersAgree(std::string_view s) {
+  for (size_t start = 0; start <= s.size(); ++start) {
+    size_t pos = start, ref_pos = start;
+    uint32_t cp = 0xDEAD, ref_cp = 0xDEAD;
+    bool ok = DecodeUtf8(s, &pos, &cp);
+    bool ref_ok = ReferenceDecodeUtf8(s, &ref_pos, &ref_cp);
+    if (ok != ref_ok || pos != ref_pos || cp != ref_cp) {
+      return testing::AssertionFailure()
+             << testing::PrintToString(std::string(s)) << " at " << start
+             << ": got (" << ok << ", " << pos << ", " << cp
+             << "), reference (" << ref_ok << ", " << ref_pos << ", "
+             << ref_cp << ")";
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+TEST(Utf8Test, DecoderMatchesReferenceOnAllOneAndTwoByteInputs) {
+  for (int b0 = 0; b0 < 256; ++b0) {
+    ASSERT_TRUE(DecodersAgree(std::string(1, static_cast<char>(b0))));
+    for (int b1 = 0; b1 < 256; ++b1) {
+      const char two[] = {static_cast<char>(b0), static_cast<char>(b1)};
+      ASSERT_TRUE(DecodersAgree(std::string_view(two, 2)));
+    }
+  }
+}
+
+TEST(Utf8Test, DecoderMatchesReferenceOnThreeAndFourByteCases) {
+  // Continuation-byte boundaries: below, at both ends of and above
+  // 0x80..0xBF, plus the bytes that set overlong, surrogate and
+  // above-U+10FFFF limits.
+  const uint8_t conts[] = {0x00, 0x7F, 0x80, 0x8F, 0x90, 0x9F,
+                           0xA0, 0xBF, 0xC0, 0xFF};
+  for (int lead = 0xC0; lead < 0x100; ++lead) {
+    for (uint8_t c1 : conts) {
+      for (uint8_t c2 : conts) {
+        for (uint8_t c3 : conts) {
+          const char seq[] = {static_cast<char>(lead), static_cast<char>(c1),
+                              static_cast<char>(c2), static_cast<char>(c3)};
+          // Every prefix, so each sequence is also seen truncated by the
+          // end of the input, and once followed by ASCII.
+          for (size_t len = 1; len <= 4; ++len) {
+            ASSERT_TRUE(DecodersAgree(std::string_view(seq, len)));
+          }
+          ASSERT_TRUE(DecodersAgree(std::string(seq, 4) + "ab"));
+        }
+      }
+    }
+  }
+  // Named cases: overlong 3- and 4-byte '/', a surrogate, U+10FFFF and one
+  // past it, and the largest 3-byte codepoint.
+  for (std::string_view s :
+       {"\xE0\x80\xAF", "\xF0\x80\x80\xAF", "\xED\xA0\x80", "\xED\xBF\xBF",
+        "\xF4\x8F\xBF\xBF", "\xF4\x90\x80\x80", "\xEF\xBF\xBF"}) {
+    EXPECT_TRUE(DecodersAgree(s));
+  }
 }
 
 TEST(Utf8Test, ClassPredicates) {
@@ -221,6 +339,25 @@ TEST(NgramTest, DuplicateRatio) {
   EXPECT_DOUBLE_EQ(DuplicateNgramRatio({1, 1, 1, 1}), 0.75);
 }
 
+TEST(NgramTest, DuplicateRatioBitEqualToHashSetReference) {
+  std::mt19937_64 rng(5);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t n = rng() % 200;
+    const uint64_t range = 1 + rng() % 300;  // small ranges repeat values
+    std::vector<uint64_t> grams(n);
+    for (uint64_t& g : grams) g = rng() % range * 0x9E3779B97F4A7C15ULL;
+    double want = 0.0;
+    if (!grams.empty()) {
+      std::unordered_set<uint64_t> unique(grams.begin(), grams.end());
+      want = 1.0 - static_cast<double>(unique.size()) /
+                       static_cast<double>(grams.size());
+    }
+    const double got = DuplicateNgramRatio(grams);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+        << "n=" << n << " got=" << got << " want=" << want;
+  }
+}
+
 TEST(NgramTest, JaccardSimilarity) {
   EXPECT_DOUBLE_EQ(JaccardSimilarity({1, 2, 3}, {1, 2, 3}), 1.0);
   EXPECT_DOUBLE_EQ(JaccardSimilarity({1, 2}, {3, 4}), 0.0);
@@ -292,6 +429,152 @@ TEST(NormalizeTest, FixUnicodeRemovesControlAndMojibake) {
 TEST(NormalizeTest, FixUnicodeKeepsValidMultibyte) {
   std::string input = "caf\xC3\xA9 \xE4\xB8\xAD";
   EXPECT_EQ(FixUnicode(input), input);
+}
+
+/// NormalizeWhitespace as it was before it copied kept runs whole, kept as
+/// the reference for the run-at-a-time version.
+std::string ReferenceNormalizeWhitespace(std::string_view s) {
+  std::string out;
+  int pending_newlines = 0;
+  bool pending_space = false;
+  bool at_line_start = true;
+  size_t pos = 0;
+  while (pos < s.size()) {
+    size_t start = pos;
+    uint32_t cp;
+    DecodeUtf8(s, &pos, &cp);
+    if (cp == '\n') {
+      ++pending_newlines;
+      pending_space = false;
+      at_line_start = true;
+      continue;
+    }
+    if (cp == '\r') continue;
+    if (IsWhitespaceCp(cp)) {
+      if (!at_line_start) pending_space = true;
+      continue;
+    }
+    if (pending_newlines > 0) {
+      if (!out.empty()) out.append(pending_newlines >= 2 ? "\n\n" : "\n");
+      pending_newlines = 0;
+      pending_space = false;
+    } else if (pending_space) {
+      out.push_back(' ');
+      pending_space = false;
+    }
+    out.append(s.substr(start, pos - start));
+    at_line_start = false;
+  }
+  return out;
+}
+
+/// FixUnicode's codepoint filter as it was before it copied kept runs whole
+/// (the mojibake replacements run first in both).
+std::string ReferenceFixUnicode(std::string_view s) {
+  std::string fixed(s);
+  for (const auto& [from, to] :
+       {std::pair<std::string_view, std::string_view>{
+            "\xC3\xA2\xE2\x82\xAC\xE2\x84\xA2", "'"},
+        {"\xC3\xA2\xE2\x82\xAC\xC5\x93", "\""},
+        {"\xC3\xA2\xE2\x82\xAC\xC2\x9D", "\""},
+        {"\xC3\xA2\xE2\x82\xAC\xE2\x80\x9C", "-"},
+        {"\xC3\x82\xC2\xA0", " "}}) {
+    fixed = ReplaceAll(fixed, from, to);
+  }
+  std::string out;
+  size_t pos = 0;
+  while (pos < fixed.size()) {
+    size_t start = pos;
+    uint32_t cp;
+    bool valid = DecodeUtf8(fixed, &pos, &cp);
+    if (!valid || cp == 0xFFFD) continue;
+    if (cp < 0x20 && cp != '\n' && cp != '\t') continue;
+    if (cp == 0x7F) continue;
+    if (cp == 0xFEFF || (cp >= 0x200B && cp <= 0x200F)) continue;
+    out.append(fixed, start, pos - start);
+  }
+  return out;
+}
+
+/// Seeded strings built from pieces that hit every branch of the
+/// normalizers: words, ASCII and Unicode whitespace, CRLF, control bytes,
+/// BOM and zero-width characters, U+FFFD, malformed and truncated bytes,
+/// and both halves of the mojibake patterns.
+std::vector<std::string> RandomNormalizeInputs() {
+  const std::string_view pieces[] = {
+      "word", "Caf\xC3\xA9", "\xE4\xB8\xAD", " ", "  ", "\t", "\n", "\n\n\n",
+      "\r\n", "\r", "\xC2\xA0", "\xE3\x80\x80", "\xE2\x80\x8B", "\xEF\xBB\xBF",
+      "\xEF\xBF\xBD", "\x01", "\x7F", "\xFF", "\x80", "\xC3", "\xE4\xB8",
+      "\xC3\xA2\xE2\x82\xAC\xE2\x84\xA2", "\xC3\x82\xC2\xA0", "\xC3\xA2\xE2\x82",
+      ".", "x"};
+  std::mt19937_64 rng(9);
+  std::vector<std::string> out;
+  for (int i = 0; i < 2000; ++i) {
+    std::string s;
+    const size_t n = rng() % 24;
+    for (size_t k = 0; k < n; ++k) {
+      s += pieces[rng() % (sizeof(pieces) / sizeof(pieces[0]))];
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+TEST(NormalizeTest, WhitespaceRunCopyMatchesReference) {
+  for (const std::string& s : RandomNormalizeInputs()) {
+    ASSERT_EQ(NormalizeWhitespace(s), ReferenceNormalizeWhitespace(s))
+        << testing::PrintToString(s);
+  }
+}
+
+TEST(NormalizeTest, FixUnicodeRunCopyMatchesReference) {
+  for (const std::string& s : RandomNormalizeInputs()) {
+    ASSERT_EQ(FixUnicode(s), ReferenceFixUnicode(s))
+        << testing::PrintToString(s);
+  }
+}
+
+// ---------------------------------------------------------- FindLast ----
+
+TEST(FindLastTest, EdgeCasesMatchRfind) {
+  struct Case {
+    std::string_view text, needle;
+  };
+  const Case cases[] = {
+      {"abcabc", "abc"},   // needle at the end
+      {"abcxyz", "abc"},   // needle at position 0 only
+      {"aaaa", "aa"},      // overlapping self-matches
+      {"aa", "aaa"},       // needle longer than the text
+      {"", "a"},           // empty text
+      {"", ""},            // both empty
+      {"abc", ""},         // empty needle
+      {"abc", "c"},        // one-byte needle at the end
+      {"\nReferences\nx\nReferences\n", "\nReferences\n"},
+      {"xyz", "q"},        // absent first byte
+      {"qqqq", "qx"},      // first byte everywhere, never a match
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(FindLast(c.text, c.needle), c.text.rfind(c.needle))
+        << testing::PrintToString(std::string(c.text)) << " / "
+        << testing::PrintToString(std::string(c.needle));
+  }
+}
+
+TEST(FindLastTest, SeededRandomStringsMatchRfind) {
+  std::mt19937_64 rng(3);
+  const char alphabet[] = {'a', 'b', '\n', 'R'};
+  auto random_string = [&](size_t max_len) {
+    std::string s(rng() % (max_len + 1), ' ');
+    for (char& c : s) c = alphabet[rng() % sizeof(alphabet)];
+    return s;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const std::string text = random_string(48);
+    const std::string needle = random_string(5);
+    ASSERT_EQ(FindLast(text, needle), std::string_view(text).rfind(needle))
+        << testing::PrintToString(text) << " / "
+        << testing::PrintToString(needle);
+  }
 }
 
 TEST(NormalizeTest, RemoveCharsUtf8Set) {

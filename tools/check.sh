@@ -24,10 +24,10 @@
 #                             watchdog dump, and the dj_bench_diff
 #                             perf-regression gate incl. its must-fail
 #                             self-test
-#   9. benchmark oracle       short perfbench pack_web, dedup_web and
-#                             rerun_cached runs: every dj_process output
-#                             must match the naive-plan reference byte for
-#                             byte
+#   9. benchmark oracle       short perfbench refine_arxiv, pack_web,
+#                             dedup_web and rerun_cached runs: every
+#                             dj_process output must match the naive-plan
+#                             reference byte for byte
 #  10. TSan                   concurrency-heavy tests (incl. the dedup OPs,
 #                             whose pooled phases write rows), then re-run
 #                             under three seeds of schedule perturbation
@@ -263,15 +263,17 @@ if [ "${degrade_rc}" -ne 1 ]; then
   exit 1
 fi
 
-echo "== benchmark byte oracle (perfbench pack_web/dedup_web/rerun_cached) =="
+echo "== benchmark byte oracle (perfbench refine_arxiv/pack_web/dedup_web/rerun_cached) =="
 # Short end-to-end benchmark runs (Release build in .bench_build/), every
 # timed run's output compared byte for byte against the naive-plan
-# reference; the last stdout line is the result. pack_web covers the
+# reference; the last stdout line is the result. refine_arxiv covers the
+# mappers and stats filters of pretrain_arxiv (fused, at --np 4) against
+# the unfused np=1 reference, pack_web covers the
 # read -> parse -> serialize -> compress -> write path of dj_process at
 # --np 4, dedup_web the pooled phases of the global dedup OPs, rerun_cached
 # the cache entries every timed run reads back through the DJDS and djlz
 # readers.
-for workload in pack_web dedup_web rerun_cached; do
+for workload in refine_arxiv pack_web dedup_web rerun_cached; do
   bench_result="$(cd "${repo_dir}" && python3 perfbench/run.py \
     --workload "${workload}" --seed 1 --seconds 3 --trace 0 | tail -n 1)"
   if ! python3 -c '
