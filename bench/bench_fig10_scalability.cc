@@ -81,7 +81,6 @@ int main() {
       {"stackexchange", Corpus(dj::workload::Style::kStackExchange, 900, 7)});
   corpora.push_back({"arxiv", Corpus(dj::workload::Style::kArxiv, 900, 8)});
 
-  dj::bench::JsonReport json_report("fig10_scalability", "Fig. 10");
   for (const auto& [name, data] : corpora) {
     std::printf("\n-- %s-like corpus (%zu docs, %s) --\n", name,
                 data.NumRows(),
@@ -101,14 +100,6 @@ int main() {
       double beam =
           RunBackend(data, dj::dist::Backend::kBeam, nodes, &beam_rows);
       if (nodes == 1) ray_at_1 = ray;
-      std::string cell =
-          std::string(name) + ".nodes" + std::to_string(nodes);
-      json_report.Add(cell + ".ray_seconds", ray);
-      json_report.Add(cell + ".beam_seconds", beam);
-      if (nodes == 16) {
-        json_report.Add(std::string(name) + ".ray_time_saved_at_16",
-                        1 - ray / ray_at_1);
-      }
       bool consistent =
           ray_rows == reference_rows && beam_rows == reference_rows;
       table.Row({std::to_string(nodes), nodes == 1 ? Fmt(single, 2) : "-",
@@ -125,6 +116,5 @@ int main() {
       "\nmodeled wall-clock on a simulated cluster (real sharded\n"
       "processing, cluster cost model per src/dist/cluster.h); the Beam\n"
       "column reproduces the paper's loading bottleneck finding.\n");
-  json_report.Write();
   return 0;
 }

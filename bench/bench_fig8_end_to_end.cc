@@ -134,7 +134,6 @@ int main() {
   dj::bench::Table table({"dataset", "np", "base_time_s", "dj_time_s",
                           "time_saved", "base_mem", "dj_mem", "mem_saved",
                           "rows_match"});
-  dj::bench::JsonReport json_report("fig8_end_to_end", "Fig. 8");
   double total_time_saved = 0, total_mem_saved = 0;
   int cells = 0;
   for (const auto& [name, data] : datasets) {
@@ -147,11 +146,6 @@ int main() {
       total_time_saved += time_saved;
       total_mem_saved += mem_saved;
       ++cells;
-      std::string cell = std::string(name) + ".np" + std::to_string(np);
-      json_report.Add(cell + ".base_seconds", base.seconds);
-      json_report.Add(cell + ".dj_seconds", dj.seconds);
-      json_report.Add(cell + ".time_saved", time_saved);
-      json_report.Add(cell + ".mem_saved", mem_saved);
       table.Row({name, std::to_string(np), Fmt(base.seconds, 3),
                  Fmt(dj.seconds, 3), FmtPct(time_saved),
                  dj::FormatBytes(base.peak_bytes),
@@ -165,8 +159,5 @@ int main() {
       "memory\n(paper: 55.6%% / 63.0%%). Same OP implementations on both "
       "sides; the\ndelta is the columnar store + shared contexts + fusion.\n",
       total_time_saved / cells * 100, total_mem_saved / cells * 100);
-  json_report.Add("avg_time_saved", total_time_saved / cells);
-  json_report.Add("avg_mem_saved", total_mem_saved / cells);
-  json_report.Write();
   return 0;
 }

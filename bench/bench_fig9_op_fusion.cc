@@ -98,7 +98,6 @@ int main() {
   dj::bench::Table table({"dataset", "#docs", "np", "t_no_fusion",
                           "t_fusion", "total_saved", "filter_saved",
                           "ctx_no_fusion", "ctx_fusion", "rows_match"});
-  dj::bench::JsonReport json_report("fig9_op_fusion", "Fig. 9");
   for (const Size& size : kSizes) {
     dj::workload::CorpusOptions options;
     options.style = dj::workload::Style::kCrawl;
@@ -118,13 +117,6 @@ int main() {
     RunResult fused2 = RunOnce(data, true, size.np);
     if (fused2.total_seconds < fused.total_seconds) fused = fused2;
 
-    std::string cell = size.name;
-    json_report.Add(cell + ".seconds_no_fusion", plain.total_seconds);
-    json_report.Add(cell + ".seconds_fusion", fused.total_seconds);
-    json_report.Add(cell + ".total_saved",
-                    1.0 - fused.total_seconds / plain.total_seconds);
-    json_report.Add(cell + ".filter_saved",
-                    1.0 - fused.filter_seconds / plain.filter_seconds);
     table.Row({size.name, std::to_string(size.docs),
                std::to_string(size.np), Fmt(plain.total_seconds, 3),
                Fmt(fused.total_seconds, 3),
@@ -139,6 +131,5 @@ int main() {
       "\nexpected shape: positive savings in every row, larger on the\n"
       "filter (fusible) portion; context computations drop because the\n"
       "fused filters share one SampleContext per sample (paper Sec. 7).\n");
-  json_report.Write();
   return 0;
 }

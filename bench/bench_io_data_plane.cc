@@ -13,7 +13,6 @@
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
-#include "common/swar.h"
 #include "common/thread_pool.h"
 #include "compress/djlz.h"
 #include "data/io.h"
@@ -114,25 +113,19 @@ int main() {
 
   dj::bench::Table table({"op", "serial_ms", "2t_ms", "4t_ms", "8t_ms",
                           "speedup_4t", "MiB/s_4t"});
-  dj::bench::JsonReport report("io_data_plane",
-                               "Sec. 7 scalability (data plane)");
 
   double parse_serialize_serial_ms = 0;
   double parse_serialize_4t_ms = 0;
 
   for (const OpBench& op : ops) {
     double serial_ms = BestMillis([&] { op.run(nullptr); });
-    report.Add(op.name + "_serial_ms", serial_ms);
 
     double ms_at[3] = {0, 0, 0};
     for (size_t t = 0; t < 3; ++t) {
       dj::ThreadPool pool(kThreadCounts[t]);
       ms_at[t] = BestMillis([&] { op.run(&pool); });
-      report.Add(op.name + "_" + std::to_string(kThreadCounts[t]) + "t_ms",
-                 ms_at[t]);
     }
     double speedup4 = ms_at[1] > 0 ? serial_ms / ms_at[1] : 0;
-    report.Add(op.name + "_speedup_4t", speedup4);
     double mibs4 =
         ms_at[1] > 0 ? (op.bytes / 1048576.0) / (ms_at[1] / 1000.0) : 0;
     table.Row({op.name, Fmt(serial_ms), Fmt(ms_at[0]), Fmt(ms_at[1]),
@@ -149,13 +142,7 @@ int main() {
   double combined = parse_serialize_4t_ms > 0
                         ? parse_serialize_serial_ms / parse_serialize_4t_ms
                         : 0;
-  report.Add("parse_serialize_speedup_4t", combined);
-  report.Add("determinism_ok", determinism_ok ? 1.0 : 0.0);
   const unsigned hw = std::thread::hardware_concurrency();
-  report.Add("hardware_threads", static_cast<double>(hw));
-  // Which kernel level the data plane dispatched to (0=scalar .. 2=sse2);
-  // environment metric, informational in dj_bench_diff.
-  report.Add("simd_level", dj::swar::ActiveLevelMetric());
   std::printf("\ncombined parse+serialize speedup at 4 threads: %.2fx "
               "(target >= 2x on >= 4 hardware threads; this host has %u)\n",
               combined, hw);
@@ -165,7 +152,6 @@ int main() {
                 "byte-determinism checks above are the meaningful signal "
                 "here.\n");
   }
-  report.Write();
 
   if (!determinism_ok) return 1;
   return 0;

@@ -2,13 +2,9 @@
 #define DJ_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
-
-#include "data/io.h"
-#include "json/value.h"
-#include "json/writer.h"
 
 namespace dj::bench {
 
@@ -76,50 +72,6 @@ inline std::string FmtPct(double v, int precision = 1) {
   std::snprintf(buf, sizeof(buf), "%.*f%%", precision, v * 100);
   return buf;
 }
-
-/// Machine-readable companion to the printed tables: collects scalar
-/// metrics and writes `BENCH_<name>.json` so runs can be compared across
-/// commits without scraping stdout. Output directory comes from
-/// DJ_BENCH_JSON_DIR (default: current directory).
-///
-/// Schema: {"bench": <name>, "paper_ref": <ref>, "schema_version": 1,
-///          "metrics": {<key>: <number>, ...}}
-class JsonReport {
- public:
-  JsonReport(std::string name, std::string paper_ref)
-      : name_(std::move(name)), paper_ref_(std::move(paper_ref)) {}
-
-  void Add(const std::string& key, double value) {
-    metrics_.as_object().Set(key, json::Value(value));
-  }
-
-  /// Writes the report; prints a one-line confirmation or warning. Benches
-  /// are best-effort reporters, so failures never abort the run.
-  void Write() const {
-    json::Value root{json::Object{}};
-    auto& obj = root.as_object();
-    obj.Set("bench", json::Value(name_));
-    obj.Set("paper_ref", json::Value(paper_ref_));
-    obj.Set("schema_version", json::Value(static_cast<int64_t>(1)));
-    obj.Set("metrics", metrics_);
-    const char* dir = std::getenv("DJ_BENCH_JSON_DIR");
-    std::string path = std::string(dir != nullptr && *dir != '\0' ? dir : ".") +
-                       "/BENCH_" + name_ + ".json";
-    json::WriteOptions options;
-    options.pretty = true;
-    if (auto s = data::WriteFile(path, json::Write(root, options) + "\n");
-        !s.ok()) {
-      std::fprintf(stderr, "bench json: %s\n", s.ToString().c_str());
-      return;
-    }
-    std::printf("wrote %s\n", path.c_str());
-  }
-
- private:
-  std::string name_;
-  std::string paper_ref_;
-  json::Value metrics_{json::Object{}};
-};
 
 }  // namespace dj::bench
 

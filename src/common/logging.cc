@@ -1,13 +1,13 @@
 #include "common/logging.h"
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 
 #include "common/mutex.h"
+#include "common/string_util.h"
 
 namespace dj {
 namespace {
@@ -75,12 +75,7 @@ void SetLogLevel(LogLevel level) {
 LogLevel GetLogLevel() { return static_cast<LogLevel>(MinLevel()); }
 
 bool ParseLogLevel(std::string_view text, LogLevel* out) {
-  std::string lower;
-  lower.reserve(text.size());
-  for (char c : text) {
-    lower.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
+  const std::string lower = AsciiToLower(text);
   if (lower == "debug") {
     *out = LogLevel::kDebug;
   } else if (lower == "info") {

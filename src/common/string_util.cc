@@ -75,13 +75,13 @@ std::string_view StripAsciiWhitespace(std::string_view s) {
 
 std::string AsciiToLower(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = AsciiLower(c);
   return out;
 }
 
 std::string AsciiToUpper(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  for (char& c : out) c = AsciiUpper(c);
   return out;
 }
 

@@ -24,7 +24,21 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// Removes leading/trailing ASCII whitespace.
 std::string_view StripAsciiWhitespace(std::string_view s);
 
-/// ASCII-only case conversions (multibyte UTF-8 passes through unchanged).
+/// The one ASCII case fold: 'A'..'Z' become 'a'..'z' and every other byte
+/// is kept. Unlike std::tolower it ignores the C locale, and it never alters
+/// a byte of a multi-byte UTF-8 sequence, so a folded text keeps every byte
+/// offset (and every token boundary) of the original.
+inline char AsciiLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A')) : c;
+}
+
+/// The twin of AsciiLower: 'a'..'z' become 'A'..'Z', every other byte is
+/// kept.
+inline char AsciiUpper(char c) {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - ('a' - 'A')) : c;
+}
+
+/// AsciiLower / AsciiUpper over every byte of `s`.
 std::string AsciiToLower(std::string_view s);
 std::string AsciiToUpper(std::string_view s);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/string_util.h"
 #include "ops/dedup/document_dedup.h"
 #include "text/tokenizer.h"
 
@@ -26,13 +27,12 @@ MixingProblem::MixingProblem(std::vector<data::Dataset> sources,
       options_(std::move(options)) {
   // Step 2 of the paper's pipeline: language-tag pre-filtering.
   if (!options_.lang_filter.empty()) {
-    std::string want = options_.lang_filter;
-    std::transform(want.begin(), want.end(), want.begin(), ::tolower);
+    const std::string want = AsciiToLower(options_.lang_filter);
     for (data::Dataset& source : sources_) {
       std::vector<size_t> keep;
       for (size_t i = 0; i < source.NumRows(); ++i) {
-        std::string lang(source.GetTextAt(i, "meta.lang"));
-        std::transform(lang.begin(), lang.end(), lang.begin(), ::tolower);
+        const std::string lang =
+            AsciiToLower(source.GetTextAt(i, "meta.lang"));
         if (lang == want || lang.empty()) keep.push_back(i);
       }
       source = source.Select(keep);

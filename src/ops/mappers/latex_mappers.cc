@@ -227,33 +227,26 @@ Result<std::string> RemoveHeaderMapper::TransformText(std::string_view input,
     }
     return std::string(rest);
   }
-  // No \begin{document}: strip leading preamble-looking lines.
+  // No \begin{document}: strip leading preamble-looking and blank lines;
+  // everything from the first other line on is kept as it is.
   static constexpr std::string_view kPreamble[] = {
       "\\documentclass", "\\usepackage", "\\title",  "\\author",
       "\\maketitle",     "\\date",       "\\setlength", "\\pagestyle"};
-  std::string out;
-  bool in_header = true;
-  for (const std::string& line : SplitLines(input)) {
-    if (in_header) {
-      std::string_view t = StripAsciiWhitespace(line);
-      bool is_preamble = t.empty();
-      for (std::string_view p : kPreamble) {
-        if (StartsWith(t, p)) {
-          is_preamble = true;
-          break;
-        }
+  for (size_t start = 0; start < input.size();) {
+    const size_t nl = input.find('\n', start);
+    const size_t end = nl == std::string_view::npos ? input.size() : nl;
+    std::string_view t = StripAsciiWhitespace(input.substr(start, end - start));
+    bool is_preamble = t.empty();
+    for (std::string_view p : kPreamble) {
+      if (StartsWith(t, p)) {
+        is_preamble = true;
+        break;
       }
-      if (is_preamble) continue;
-      in_header = false;
     }
-    out += line;
-    out.push_back('\n');
+    if (!is_preamble) return std::string(input.substr(start));
+    start = end + 1;
   }
-  if (!out.empty() && out.back() == '\n' && !input.empty() &&
-      input.back() != '\n') {
-    out.pop_back();
-  }
-  return out;
+  return std::string();
 }
 
 // ----------------------------------------------- RemoveTableTextMapper --
@@ -269,7 +262,14 @@ Result<std::string> RemoveTableTextMapper::TransformText(
   std::string out;
   out.reserve(input.size());
   bool in_tabular = false;
-  for (const std::string& line : SplitLines(input)) {
+  for (size_t start = 0; start < input.size();) {
+    // `line` excludes the '\n', `whole` keeps it (the last line may have
+    // none).
+    const size_t nl = input.find('\n', start);
+    const size_t end = nl == std::string_view::npos ? input.size() : nl;
+    std::string_view line = input.substr(start, end - start);
+    std::string_view whole = input.substr(start, end + 1 - start);
+    start = end + 1;
     std::string_view t = StripAsciiWhitespace(line);
     if (Contains(t, "\\begin{tabular}") || Contains(t, "\\begin{table}")) {
       in_tabular = true;
@@ -282,11 +282,11 @@ Result<std::string> RemoveTableTextMapper::TransformText(
       continue;
     }
     if (IsTableLine(line, static_cast<int>(min_col_count_))) continue;
-    out += line;
-    out.push_back('\n');
+    out += whole;
   }
-  if (!out.empty() && out.back() == '\n' && !input.empty() &&
-      input.back() != '\n') {
+  // A dropped unterminated last line leaves the kept line before it with a
+  // '\n' the input did not end with.
+  if (!out.empty() && out.back() == '\n' && input.back() != '\n') {
     out.pop_back();
   }
   return out;

@@ -40,7 +40,7 @@ const std::vector<std::string_view>& SampleContext::WordsLower() {
     const std::vector<std::string_view>& words = Words();
     lower_text_.resize(text_.size());
     std::transform(text_.begin(), text_.end(), lower_text_.begin(),
-                   text::AsciiLower);
+                   AsciiLower);
     std::vector<std::string_view> lower;
     lower.reserve(words.size());
     for (std::string_view w : words) {

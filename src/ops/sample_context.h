@@ -66,7 +66,7 @@ class SampleContext {
  private:
   std::string_view text_;
   std::optional<std::vector<std::string_view>> words_;
-  std::string lower_text_;  ///< text_ folded by text::AsciiLower
+  std::string lower_text_;  ///< text_ folded by AsciiLower
   std::optional<std::vector<std::string_view>> words_lower_;
   std::optional<std::vector<uint64_t>> word_hashes_lower_;
   std::optional<std::vector<std::string>> lines_;

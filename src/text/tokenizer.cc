@@ -4,6 +4,7 @@
 #include <cctype>
 
 #include "common/hash.h"
+#include "common/string_util.h"
 #include "text/utf8.h"
 
 namespace dj::text {

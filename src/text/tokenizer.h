@@ -18,15 +18,8 @@ std::vector<std::string> TokenizeWords(std::string_view s);
 /// are.
 std::vector<std::string_view> WordViews(std::string_view s);
 
-/// The case fold of every *Lower tokenizer function: 'A'..'Z' become
-/// 'a'..'z' and every other byte is kept. Unlike std::tolower it ignores the
-/// C locale, and it never alters a byte of a multi-byte UTF-8 sequence, so a
-/// folded text tokenizes at the same offsets as the original.
-inline char AsciiLower(char c) {
-  return c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A')) : c;
-}
-
-/// Lower-cased variant of TokenizeWords (AsciiLower case folding).
+/// Lower-cased variant of TokenizeWords (dj::AsciiLower case folding, from
+/// common/string_util.h).
 std::vector<std::string> TokenizeWordsLower(std::string_view s);
 
 /// Fnv1a64 of `word` folded with AsciiLower, without building the folded

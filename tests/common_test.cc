@@ -96,6 +96,24 @@ TEST(StringUtilTest, StripAsciiWhitespace) {
 TEST(StringUtilTest, CaseConversionsAsciiOnly) {
   EXPECT_EQ(AsciiToLower("MiXeD 123"), "mixed 123");
   EXPECT_EQ(AsciiToUpper("MiXeD"), "MIXED");
+  // Every byte value: only 'A'..'Z' (resp. 'a'..'z') may change, whatever
+  // the C locale says about bytes >= 0x80.
+  std::string all(256, '\0');
+  for (int b = 0; b < 256; ++b) all[b] = static_cast<char>(b);
+  const std::string lower = AsciiToLower(all);
+  const std::string upper = AsciiToUpper(all);
+  ASSERT_EQ(lower.size(), 256u);
+  ASSERT_EQ(upper.size(), 256u);
+  for (int b = 0; b < 256; ++b) {
+    const bool is_upper = b >= 'A' && b <= 'Z';
+    const bool is_lower = b >= 'a' && b <= 'z';
+    EXPECT_EQ(static_cast<unsigned char>(lower[b]),
+              is_upper ? b + ('a' - 'A') : b)
+        << "byte " << b;
+    EXPECT_EQ(static_cast<unsigned char>(upper[b]),
+              is_lower ? b - ('a' - 'A') : b)
+        << "byte " << b;
+  }
 }
 
 TEST(StringUtilTest, StartsEndsContains) {

@@ -163,6 +163,16 @@ TEST(RemoveHeaderMapperTest, DropsLeadingPreambleLinesWithoutBeginDoc) {
   EXPECT_EQ(Apply(m, input), "Actual content here.");
 }
 
+TEST(RemoveHeaderMapperTest, BlankLinesAndNoTrailingNewline) {
+  RemoveHeaderMapper m(Config());
+  // Blank lines inside the header go with it; the ones after it stay.
+  EXPECT_EQ(Apply(m, "\n\\title{T}\n\n\\author{A}\n\nBody\n\nmore\n"),
+            "Body\n\nmore\n");
+  EXPECT_EQ(Apply(m, "\\title{T}\n  \nBody\n\nmore"), "Body\n\nmore");
+  // Nothing but header: nothing is left.
+  EXPECT_EQ(Apply(m, "\\title{T}\n\n\\author{A}"), "");
+}
+
 TEST(RemoveTableTextMapperTest, DropsTabularEnvironment) {
   RemoveTableTextMapper m(Config());
   std::string input =
@@ -174,6 +184,16 @@ TEST(RemoveTableTextMapperTest, DropsMarkdownTableRows) {
   RemoveTableTextMapper m(Config());
   std::string input = "text\n| a | b | c |\n|---|---|---|\nmore text";
   EXPECT_EQ(Apply(m, input), "text\nmore text");
+}
+
+TEST(RemoveTableTextMapperTest, BlankLinesAndNoTrailingNewline) {
+  RemoveTableTextMapper m(Config());
+  // Blank lines are not table rows and are kept.
+  EXPECT_EQ(Apply(m, "a\n\n| x | y | z |\n\nb\n"), "a\n\n\nb\n");
+  // A dropped unterminated last line takes the '\n' before it along.
+  EXPECT_EQ(Apply(m, "text\n\n| a | b | c |"), "text\n");
+  EXPECT_EQ(Apply(m, "| a | b | c |"), "");
+  EXPECT_EQ(Apply(m, "\n\nkeep"), "\n\nkeep");
 }
 
 // --------------------------------------------------------------- text ----

@@ -1,7 +1,7 @@
 // Tests for the always-on profiling stack: the thread-introspection
 // substrate (span-tag stacks, heartbeats, held-lock mirror), the sampling
 // profiler's per-OP CPU attribution, the stall watchdog, histogram
-// quantiles, the /proc resource seams, and the bench-diff regression gate.
+// quantiles and the /proc resource seams.
 //
 // Timing notes: the watchdog tests use generous thresholds (hundreds of
 // milliseconds of deliberate stall against a sub-100ms detection window) so
@@ -30,7 +30,6 @@
 #include "data/dataset.h"
 #include "fault/fault.h"
 #include "json/value.h"
-#include "obs/bench_diff.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/watchdog.h"
@@ -39,10 +38,6 @@
 namespace dj {
 namespace {
 
-using obs::BenchDiff;
-using obs::BenchDiffOptions;
-using obs::GuessDirection;
-using obs::MetricDirection;
 using obs::Profiler;
 using obs::Watchdog;
 
@@ -447,118 +442,6 @@ TEST(ResourceMonitorTest, LiveCountersArePlausible) {
     cpu_s = ResourceMonitor::ReadCpuSecondsFrom("/proc/self/stat");
   }
   EXPECT_GT(cpu_s, 0.0);
-}
-
-// ----------------------------------------------------------- bench diff --
-
-json::Value BenchDoc(const char* bench,
-                     std::vector<std::pair<std::string, double>> metrics) {
-  json::Object m;
-  for (auto& [k, v] : metrics) m.Set(k, json::Value(v));
-  json::Object doc;
-  doc.Set("bench", json::Value(std::string(bench)));
-  doc.Set("schema_version", json::Value(static_cast<int64_t>(1)));
-  doc.Set("metrics", json::Value(std::move(m)));
-  return json::Value(std::move(doc));
-}
-
-TEST(BenchDiffTest, DirectionHeuristic) {
-  EXPECT_EQ(GuessDirection("parse_jsonl_serial_ms"),
-            MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(GuessDirection("peak_rss_bytes"),
-            MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(GuessDirection("parse_speedup_4t"),
-            MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(GuessDirection("rows_per_sec"),
-            MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(GuessDirection("checks_ok"), MetricDirection::kHigherIsBetter);
-  // Environment metrics describe the host/run, not performance: a bench
-  // from a box with fewer threads or a different kernel level must not
-  // read as a regression.
-  EXPECT_EQ(GuessDirection("determinism_ok"),
-            MetricDirection::kInformational);
-  EXPECT_EQ(GuessDirection("hardware_threads"),
-            MetricDirection::kInformational);
-  EXPECT_EQ(GuessDirection("simd_level"), MetricDirection::kInformational);
-}
-
-TEST(BenchDiffTest, SelfCompareHasNoRegression) {
-  json::Value doc = BenchDoc("b", {{"x_ms", 10.0}, {"speedup", 2.0}});
-  auto report = BenchDiff(doc, doc);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_FALSE(report.value().has_regression());
-}
-
-TEST(BenchDiffTest, DegradationBeyondToleranceRegresses) {
-  json::Value base = BenchDoc("b", {{"x_ms", 100.0}, {"speedup", 2.0}});
-  // 25% slower timing and 30% lower speedup, default tolerance 10%.
-  json::Value cur = BenchDoc("b", {{"x_ms", 125.0}, {"speedup", 1.4}});
-  auto report = BenchDiff(base, cur);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.value().has_regression());
-  ASSERT_EQ(report.value().deltas.size(), 2u);
-  for (const auto& d : report.value().deltas) EXPECT_TRUE(d.regression);
-  EXPECT_NE(report.value().ToString().find("REGRESSED"), std::string::npos);
-}
-
-TEST(BenchDiffTest, ImprovementAndWithinToleranceBothPass) {
-  json::Value base = BenchDoc("b", {{"x_ms", 100.0}, {"speedup", 2.0}});
-  // 40% faster + 5% lower speedup: improvement never gates, and 5% < 10%.
-  json::Value cur = BenchDoc("b", {{"x_ms", 60.0}, {"speedup", 1.9}});
-  auto report = BenchDiff(base, cur);
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report.value().has_regression());
-  EXPECT_LT(report.value().deltas[0].degradation, 0);  // improved
-}
-
-TEST(BenchDiffTest, PerMetricToleranceAndOverridesApply) {
-  json::Value base = BenchDoc("b", {{"x_ms", 100.0}, {"mystery", 10.0}});
-  json::Value cur = BenchDoc("b", {{"x_ms", 130.0}, {"mystery", 5.0}});
-  BenchDiffOptions options;
-  options.per_metric_tolerance["x_ms"] = 0.5;  // 30% worse but 50% allowed
-  auto report = BenchDiff(base, cur, options);
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report.value().has_regression());  // mystery is informational
-  options.direction_overrides["mystery"] = MetricDirection::kHigherIsBetter;
-  report = BenchDiff(base, cur, options);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.value().has_regression());  // mystery halved
-}
-
-TEST(BenchDiffTest, MissingMetricIsRegressionNewMetricIsNot) {
-  json::Value base = BenchDoc("b", {{"x_ms", 100.0}, {"y_ms", 5.0}});
-  json::Value cur = BenchDoc("b", {{"x_ms", 100.0}, {"z_ms", 3.0}});
-  auto report = BenchDiff(base, cur);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.value().has_regression());
-  ASSERT_EQ(report.value().missing_in_current.size(), 1u);
-  EXPECT_EQ(report.value().missing_in_current[0], "y_ms");
-  ASSERT_EQ(report.value().missing_in_baseline.size(), 1u);
-  EXPECT_EQ(report.value().missing_in_baseline[0], "z_ms");
-}
-
-TEST(BenchDiffTest, ShapeAndNameMismatchesAreErrors) {
-  json::Value good = BenchDoc("b", {{"x_ms", 1.0}});
-  json::Value other = BenchDoc("c", {{"x_ms", 1.0}});
-  EXPECT_FALSE(BenchDiff(good, other).ok());
-  EXPECT_FALSE(BenchDiff(json::Value(std::string("nope")), good).ok());
-  json::Object no_metrics;
-  no_metrics.Set("bench", json::Value(std::string("b")));
-  EXPECT_FALSE(BenchDiff(good, json::Value(std::move(no_metrics))).ok());
-}
-
-TEST(BenchDiffTest, LedgerBaselineIsPerMetricMedian) {
-  std::vector<json::Value> runs;
-  runs.push_back(BenchDoc("b", {{"x_ms", 10.0}}));
-  runs.push_back(BenchDoc("b", {{"x_ms", 30.0}}));
-  runs.push_back(BenchDoc("b", {{"x_ms", 20.0}}));
-  runs.push_back(BenchDoc("other", {{"x_ms", 999.0}}));  // skipped
-  auto baseline = obs::LedgerBaseline(runs, "b");
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  const json::Value* metrics =
-      baseline.value().as_object().Find("metrics");
-  EXPECT_DOUBLE_EQ(metrics->as_object().Find("x_ms")->as_double(), 20.0);
-  EXPECT_FALSE(obs::LedgerBaseline(runs, "absent").ok());
 }
 
 }  // namespace

@@ -20,10 +20,13 @@
 #                             against srclint/manifest.json — plus the
 #                             binary-container round-trip, the fault-matrix
 #                             crash/resume smoke, a profiled run
-#                             (--require-profile), an injected-stall
-#                             watchdog dump, and the dj_bench_diff
-#                             perf-regression gate incl. its must-fail
-#                             self-test
+#                             (--require-profile) and an injected-stall
+#                             watchdog dump; then the perf gate:
+#                             tools/perf_gate.sh HEAD times the working
+#                             tree against the last commit in alternated
+#                             perfbench pairs (a clean tree must pass),
+#                             and its judging step must fail a
+#                             refine_arxiv pair run at --np 1
 #   9. benchmark oracle       short perfbench refine_arxiv, pack_web,
 #                             dedup_web and rerun_cached runs: every
 #                             dj_process output must match the naive-plan
@@ -249,17 +252,25 @@ if ! grep -q "=== WATCHDOG" "${smoke_dir}/watchdog_stderr.txt"; then
 fi
 cmp "${smoke_dir}/out.jsonl" "${smoke_dir}/stalled_out.jsonl"
 
-echo "== bench-diff gate (perf-regression ledger) =="
-# The committed baseline must self-compare clean, and the gate must
-# actually be able to fail: the same compare with one metric hand-degraded
-# 25% past its 10% tolerance has to exit 1 (2 would be a usage bug).
-bench_baseline="${repo_dir}/bench/baselines/BENCH_io_data_plane.json"
-"${build_dir}/tools/dj_bench_diff" "${bench_baseline}" "${bench_baseline}"
-degrade_rc=0
-"${build_dir}/tools/dj_bench_diff" --degrade parse_jsonl_serial_ms=1.25 \
-  "${bench_baseline}" "${bench_baseline}" || degrade_rc=$?
-if [ "${degrade_rc}" -ne 1 ]; then
-  echo "check.sh: bench-diff gate self-test expected exit 1, got ${degrade_rc}" >&2
+echo "== perf gate (working tree vs HEAD, perfbench pairs) =="
+"${repo_dir}/tools/perf_gate.sh" HEAD
+
+echo "== perf gate must-fail self-test (HEAD side at --np 1) =="
+# The gate's judging step on one refine_arxiv pair whose HEAD side ran at
+# --np 1 (perfbench's degraded-run flag) has to exit 1: WORSE in 1 of 1
+# pairs. 2 would mean the pair was not compared at all.
+(cd "${repo_dir}" && python3 perfbench/run.py --workload refine_arxiv \
+  --seed 1 --seconds 3 --trace 0 --out "${smoke_dir}/gate_base.json" \
+  > /dev/null)
+(cd "${repo_dir}" && python3 perfbench/run.py --workload refine_arxiv \
+  --seed 1 --seconds 3 --trace 0 --np 1 --out "${smoke_dir}/gate_np1.json" \
+  > /dev/null)
+gate_rc=0
+(source "${repo_dir}/tools/perf_gate.sh" &&
+  judge refine_arxiv "${smoke_dir}/gate_base.json" "${smoke_dir}/gate_np1.json") \
+  || gate_rc=$?
+if [ "${gate_rc}" -ne 1 ]; then
+  echo "check.sh: perf gate self-test expected exit 1, got ${gate_rc}" >&2
   exit 1
 fi
 
