@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "common/large_buffer.h"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -28,7 +30,9 @@ Result<std::string> ReadFileToString(const std::string& path) {
   // One allocation at the stat'ed size, filled in place. The size is only a
   // hint — /proc files report 0 and a file can change while it is read — so
   // reading continues to EOF either way.
-  std::string out(size_hint, '\0');
+  std::string out;
+  ReserveLarge(&out, size_hint);
+  out.resize(size_hint);
   size_t len = 0;
   while (len < out.size()) {
     size_t n = std::fread(out.data() + len, 1, out.size() - len, f);

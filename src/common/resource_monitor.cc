@@ -55,30 +55,59 @@ double ResourceMonitor::CurrentCpuSeconds() {
   return to_sec(ru.ru_utime) + to_sec(ru.ru_stime);
 }
 
-double ResourceMonitor::ReadCpuSecondsFrom(const char* stat_path) {
+namespace {
+
+/// Reads `count` consecutive numeric fields of a /proc/<pid>/stat-format
+/// file, starting at 1-based field `first` (> 2). False when the file is
+/// missing or malformed.
+bool ReadStatFields(const char* stat_path, int first, int count,
+                    unsigned long long* out) {
   FILE* f = std::fopen(stat_path, "r");
-  if (f == nullptr) return 0;
+  if (f == nullptr) return false;
   char line[1024];
   bool ok = std::fgets(line, sizeof(line), f) != nullptr;
   std::fclose(f);
-  if (!ok) return 0;
+  if (!ok) return false;
   // The comm field (2nd) is parenthesized and may contain spaces; fields
-  // count from the ')' instead of the line start. utime/stime are fields
-  // 14/15 overall, i.e. the 12th/13th after comm.
+  // count from the ')' instead of the line start.
   const char* p = std::strrchr(line, ')');
-  if (p == nullptr) return 0;
+  if (p == nullptr) return false;
   ++p;
-  unsigned long long utime = 0, stime = 0;
-  int field = 2;
-  while (*p != '\0' && field < 13) {
+  for (int field = 2; *p != '\0' && field < first - 1; ++field) {
     while (*p == ' ') ++p;
     while (*p != '\0' && *p != ' ') ++p;
-    ++field;
   }
-  if (std::sscanf(p, " %llu %llu", &utime, &stime) != 2) return 0;
+  for (int i = 0; i < count; ++i) {
+    int used = 0;
+    if (std::sscanf(p, " %llu%n", &out[i], &used) != 1) return false;
+    p += used;
+  }
+  return true;
+}
+
+}  // namespace
+
+double ResourceMonitor::ReadCpuSecondsFrom(const char* stat_path) {
+  // utime/stime are fields 14/15.
+  unsigned long long ticks_used[2];
+  if (!ReadStatFields(stat_path, 14, 2, ticks_used)) return 0;
   long ticks = sysconf(_SC_CLK_TCK);
   if (ticks <= 0) return 0;
-  return static_cast<double>(utime + stime) / static_cast<double>(ticks);
+  return static_cast<double>(ticks_used[0] + ticks_used[1]) /
+         static_cast<double>(ticks);
+}
+
+uint64_t ResourceMonitor::CurrentMinorFaults() {
+  struct rusage ru;
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
+  return static_cast<uint64_t>(ru.ru_minflt);
+}
+
+uint64_t ResourceMonitor::ReadMinorFaultsFrom(const char* stat_path) {
+  // minflt is field 10.
+  unsigned long long minflt = 0;
+  if (!ReadStatFields(stat_path, 10, 1, &minflt)) return 0;
+  return minflt;
 }
 
 uint64_t ResourceMonitor::CurrentPeakRssBytes() {
@@ -109,6 +138,7 @@ void ResourceMonitor::Start() {
   }
   start_wall_ = NowSeconds();
   start_cpu_ = CurrentCpuSeconds();
+  start_minor_faults_ = CurrentMinorFaults();
   sampler_ = std::thread([this] { SampleLoop(); });
 }
 
@@ -119,6 +149,7 @@ ResourceReport ResourceMonitor::Stop() {
 
   report.wall_seconds = NowSeconds() - start_wall_;
   report.cpu_seconds = CurrentCpuSeconds() - start_cpu_;
+  report.minor_faults = CurrentMinorFaults() - start_minor_faults_;
   if (report.wall_seconds > 0) {
     report.avg_cpu_utilization = report.cpu_seconds / report.wall_seconds;
   }

@@ -28,6 +28,9 @@ struct ResourceReport {
   /// Average CPU utilization over the interval: cpu_time / wall_time.
   /// 1.0 == one core fully busy.
   double avg_cpu_utilization = 0;
+  /// Minor page faults over the interval: mostly first touches of fresh
+  /// pages (4 KiB each, or one per 2 MiB huge page).
+  uint64_t minor_faults = 0;
 };
 
 /// Background sampler of this process's RSS and CPU time (Linux /proc).
@@ -60,6 +63,11 @@ class ResourceMonitor {
   /// getrusage path above stays the default because it also counts
   /// already-reaped children's time consistently.
   static double ReadCpuSecondsFrom(const char* stat_path);
+  /// Cumulative minor page faults of this process (getrusage ru_minflt).
+  static uint64_t CurrentMinorFaults();
+  /// minflt (field 10) parsed from a /proc/<pid>/stat-format file; 0 when
+  /// missing or malformed. Seam for testing, like ReadCpuSecondsFrom.
+  static uint64_t ReadMinorFaultsFrom(const char* stat_path);
   /// Kernel-reported peak ("high water mark") RSS of this process, 0 if
   /// unavailable. Unlike the sampled peak this cannot miss a short spike
   /// between samples.
@@ -80,6 +88,7 @@ class ResourceMonitor {
   // by Stop() after joining it): ordered by thread creation/join, no lock.
   double start_wall_ = 0;
   double start_cpu_ = 0;
+  uint64_t start_minor_faults_ = 0;
 };
 
 }  // namespace dj

@@ -302,12 +302,10 @@ uint64_t Hash64Words(const char* data, size_t n) {
 
 /// Accelerated match-copy body shared by every non-scalar level: word-wise
 /// when source and destination are at least a word apart, byte-wise for the
-/// short overlapping distances (which replicate runs).
-void AppendMatchWords(std::string* out, size_t offset, size_t len) {
-  const size_t start = out->size();
-  out->resize(start + len);
-  char* dst = out->data() + start;
-  const char* src = out->data() + (start - offset);
+/// short overlapping distances (which replicate runs). Never touches a byte
+/// past dst + len.
+void CopyMatchWords(char* dst, size_t offset, size_t len) {
+  const char* src = dst - offset;
   if (offset >= 8) {
     size_t i = 0;
     for (; i + 8 <= len; i += 8) {
@@ -414,11 +412,11 @@ size_t JsonCleanSpan(const char* data, size_t n) {
   }
 }
 
-void AppendMatch(std::string* out, size_t offset, size_t len) {
+void CopyMatch(char* dst, size_t offset, size_t len) {
   if (ActiveLevel() == Level::kScalar) {
-    return scalar::AppendMatch(out, offset, len);
+    return scalar::CopyMatch(dst, offset, len);
   }
-  AppendMatchWords(out, offset, len);
+  CopyMatchWords(dst, offset, len);
 }
 
 uint64_t Hash64(const char* data, size_t n) {
@@ -468,9 +466,8 @@ size_t JsonCleanSpan(const char* data, size_t n) {
   return n;
 }
 
-void AppendMatch(std::string* out, size_t offset, size_t len) {
-  size_t from = out->size() - offset;
-  for (size_t i = 0; i < len; ++i) out->push_back((*out)[from + i]);
+void CopyMatch(char* dst, size_t offset, size_t len) {
+  for (size_t i = 0; i < len; ++i) dst[i] = dst[i - offset];
 }
 
 uint64_t Hash64(const char* data, size_t n) {

@@ -73,11 +73,12 @@ size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max);
 /// appended to serializer output in one memcpy.
 size_t JsonCleanSpan(const char* data, size_t n);
 
-/// Appends `len` bytes to `*out` copied from `offset` bytes before its
-/// current end (LZ77 match copy). Overlap-safe: offset < len is legal and
-/// replicates the trailing pattern, byte-semantics identical to a
-/// push_back-per-byte loop. Requires 1 <= offset <= out->size().
-void AppendMatch(std::string* out, size_t offset, size_t len);
+/// Writes `len` bytes at `dst`, copied from `offset` bytes before it (LZ77
+/// match copy). Overlap-safe: offset < len is legal and replicates the
+/// trailing pattern, byte-semantics identical to a forward byte-by-byte
+/// copy. Writes exactly [dst, dst + len). Requires offset >= 1 and
+/// [dst - offset, dst) readable.
+void CopyMatch(char* dst, size_t offset, size_t len);
 
 /// Word-at-a-time 64-bit checksum (multiply-xor over little-endian 8-byte
 /// lanes, zero-padded tail, final avalanche). Roughly 4x the throughput of
@@ -101,7 +102,7 @@ size_t CountByte(const char* data, size_t n, char b);
 size_t FindByte(const char* data, size_t n, char b);
 size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max);
 size_t JsonCleanSpan(const char* data, size_t n);
-void AppendMatch(std::string* out, size_t offset, size_t len);
+void CopyMatch(char* dst, size_t offset, size_t len);
 uint64_t Hash64(const char* data, size_t n);
 }  // namespace scalar
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/large_buffer.h"
 #include "common/sched_point.h"
 #include "common/stopwatch.h"
 #include "common/swar.h"
@@ -26,6 +27,10 @@ constexpr size_t kHashSize = 1u << kHashBits;
 /// longer matches (better ratio, fewer sequences) at a small search cost.
 constexpr size_t kProbes = 4;
 constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
+/// Upper bound on raw bytes per compressed byte: a match costs at least its
+/// token and 2 offset bytes and each length extension byte adds at most 255,
+/// so no block decodes to more than 255x its size.
+constexpr size_t kMaxExpansion = 255;
 
 /// Hashes the 5 bytes at `p` (requires 8 readable bytes). Five bytes
 /// discriminate better than four on JSON-ish text, where 4-byte windows
@@ -228,51 +233,72 @@ std::string CompressBlock(std::string_view input) {
   return out;
 }
 
-Result<std::string> DecompressBlock(std::string_view block,
-                                    size_t expected_size) {
-  std::string out;
-  out.reserve(expected_size);
+Status DecompressBlockInto(std::string_view block, char* out, size_t size) {
   const auto* p = reinterpret_cast<const uint8_t*>(block.data());
-  const uint8_t* end = p + block.size();
+  const uint8_t* const end = p + block.size();
+  char* op = out;
+  char* const out_end = out + size;
 
-  auto read_length = [&](size_t base) -> Result<size_t> {
-    size_t len = base;
-    if (base == 15) {
-      while (true) {
-        if (p >= end) return Status::Corruption("djlz: truncated length");
-        uint8_t b = *p++;
-        len += b;
-        if (b != 255) break;
-      }
+  auto read_length = [&](size_t base, size_t* len) {
+    *len = base;
+    if (base != 15) return true;
+    while (true) {
+      if (p >= end) return false;
+      const uint8_t b = *p++;
+      *len += b;
+      if (b != 255) return true;
     }
-    return len;
   };
 
   while (p < end) {
-    uint8_t token = *p++;
-    DJ_ASSIGN_OR_RETURN(size_t lit_len, read_length(token >> 4));
+    const uint8_t token = *p++;
+    size_t lit_len;
+    if (!read_length(token >> 4, &lit_len)) {
+      return Status::Corruption("djlz: truncated length");
+    }
     if (static_cast<size_t>(end - p) < lit_len) {
       return Status::Corruption("djlz: truncated literals");
     }
-    out.append(reinterpret_cast<const char*>(p), lit_len);
+    if (static_cast<size_t>(out_end - op) < lit_len) {
+      return Status::Corruption("djlz: literals overrun the block's " +
+                                std::to_string(size) + "-byte slot");
+    }
+    if (lit_len != 0) std::memcpy(op, p, lit_len);
+    op += lit_len;
     p += lit_len;
     if (p >= end) break;  // final token has no match part
     if (end - p < 2) return Status::Corruption("djlz: truncated offset");
-    size_t offset = static_cast<size_t>(p[0]) | (static_cast<size_t>(p[1]) << 8);
+    const size_t offset =
+        static_cast<size_t>(p[0]) | (static_cast<size_t>(p[1]) << 8);
     p += 2;
-    if (offset == 0 || offset > out.size()) {
+    if (offset == 0 || offset > static_cast<size_t>(op - out)) {
       return Status::Corruption("djlz: bad match offset");
     }
-    DJ_ASSIGN_OR_RETURN(size_t match_code, read_length(token & 0x0F));
-    size_t match_len = match_code + kMinMatch;
+    size_t match_code;
+    if (!read_length(token & 0x0F, &match_code)) {
+      return Status::Corruption("djlz: truncated length");
+    }
+    const size_t match_len = match_code + kMinMatch;
+    if (static_cast<size_t>(out_end - op) < match_len) {
+      return Status::Corruption("djlz: match overruns the block's " +
+                                std::to_string(size) + "-byte slot");
+    }
     // Overlap-safe wordwise copy; offset < length is legal and encodes runs.
-    swar::AppendMatch(&out, offset, match_len);
+    swar::CopyMatch(op, offset, match_len);
+    op += match_len;
   }
-  if (out.size() != expected_size) {
-    return Status::Corruption("djlz: size mismatch (got " +
-                              std::to_string(out.size()) + ", want " +
-                              std::to_string(expected_size) + ")");
+  if (op != out_end) {
+    return Status::Corruption(
+        "djlz: size mismatch (got " + std::to_string(op - out) + ", want " +
+        std::to_string(size) + ")");
   }
+  return Status::Ok();
+}
+
+Result<std::string> DecompressBlock(std::string_view block,
+                                    size_t expected_size) {
+  std::string out(expected_size, '\0');
+  DJ_RETURN_IF_ERROR(DecompressBlockInto(block, out.data(), out.size()));
   return out;
 }
 
@@ -302,7 +328,7 @@ std::string CompressFrame(std::string_view input, ThreadPool* pool) {
   size_t payload = 0;
   for (const std::string& b : blocks) payload += b.size();
   std::string frame;
-  frame.reserve(21 + num_blocks * 16 + payload);
+  ReserveLarge(&frame, 21 + num_blocks * 16 + payload);
   frame.append(kFrameMagic, 4);
   frame.push_back(static_cast<char>(kFrameVersion));
   PutU64(input.size(), &frame);
@@ -373,14 +399,28 @@ Result<std::string> DecompressFrame(std::string_view frame, ThreadPool* pool) {
   if (pos + payload != frame.size()) {
     return Status::Corruption("djlz: frame size mismatch");
   }
+  // The whole output is sized here, from a raw size the table has bounded:
+  // no block can expand more than kMaxExpansion-fold (each match byte
+  // encodes at most 255 bytes), so a forged raw size cannot allocate more
+  // than the frame could ever decode to.
   std::vector<size_t> offsets(num_blocks);
   size_t cursor = pos;
   for (uint64_t b = 0; b < num_blocks; ++b) {
+    const size_t want = std::min(kFrameBlockSize,
+                                 static_cast<size_t>(raw_size) -
+                                     b * kFrameBlockSize);
+    if (want > block_sizes[b] * kMaxExpansion) {
+      return Status::Corruption("djlz: block too short for its raw size");
+    }
     offsets[b] = cursor;
     cursor += block_sizes[b];
   }
-  std::vector<std::string> raws(num_blocks);
+  std::string out;
+  ReserveLarge(&out, raw_size);
+  out.resize(raw_size);
   std::vector<Status> errors(num_blocks, Status::Ok());
+  // Each block decodes straight into its own slice of `out`; nothing is
+  // gathered afterwards.
   auto decompress_range = [&](size_t begin, size_t end) {
     for (size_t b = begin; b < end; ++b) {
       std::string_view block = frame.substr(offsets[b], block_sizes[b]);
@@ -390,15 +430,9 @@ Result<std::string> DecompressFrame(std::string_view frame, ThreadPool* pool) {
         errors[b] = Status::Corruption("djlz: block checksum mismatch");
         continue;
       }
-      size_t want = std::min(kFrameBlockSize,
-                             static_cast<size_t>(raw_size) -
-                                 b * kFrameBlockSize);
-      auto raw = DecompressBlock(block, want);
-      if (!raw.ok()) {
-        errors[b] = raw.status();
-        continue;
-      }
-      raws[b] = std::move(raw).value();
+      const size_t at = b * kFrameBlockSize;
+      errors[b] = DecompressBlockInto(
+          block, out.data() + at, std::min(kFrameBlockSize, out.size() - at));
     }
   };
   if (pool != nullptr && pool->num_threads() > 1 && num_blocks > 1) {
@@ -411,9 +445,6 @@ Result<std::string> DecompressFrame(std::string_view frame, ThreadPool* pool) {
   for (const Status& s : errors) {
     if (!s.ok()) return s;
   }
-  std::string out;
-  out.reserve(raw_size);
-  for (std::string& r : raws) out.append(r);
   RecordIoMetrics("decompress", frame.size(), out.size(),
                   watch.ElapsedSeconds());
   return out;

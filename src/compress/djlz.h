@@ -24,7 +24,14 @@ namespace dj::compress {
 ///   [match length extension]
 std::string CompressBlock(std::string_view input);
 
-/// Inverse of CompressBlock. `expected_size` must be the original size.
+/// Inverse of CompressBlock, decoding straight into [out, out + size):
+/// `size` must be the original size. Untrusted input is answered with
+/// Corruption — truncated lengths, literals or offsets, an offset before
+/// the slot's start, or a block that does not decode to exactly `size`
+/// bytes — and no byte outside the slot is ever written.
+Status DecompressBlockInto(std::string_view block, char* out, size_t size);
+
+/// DecompressBlockInto into a new string of `expected_size` bytes.
 Result<std::string> DecompressBlock(std::string_view block,
                                     size_t expected_size);
 
@@ -36,8 +43,9 @@ constexpr size_t kFrameBlockSize = 1u << 20;
 /// (per-block compressed size + swar::Hash64 checksum of the compressed
 /// block) + the independently compressed ~1 MiB blocks. Blocks compress and
 /// decompress on `pool` when given; output is byte-identical with or without
-/// a pool. Other frame versions are rejected as Corruption. This is what the
-/// cache layer writes to disk.
+/// a pool. Decompression sizes the output once and decodes each block into
+/// its own slice. Other frame versions are rejected as Corruption. This is
+/// what the cache layer writes to disk.
 std::string CompressFrame(std::string_view input, ThreadPool* pool = nullptr);
 Result<std::string> DecompressFrame(std::string_view frame,
                                     ThreadPool* pool = nullptr);

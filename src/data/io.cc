@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/file_util.h"
+#include "common/large_buffer.h"
 #include "common/swar.h"
 #include "common/sched_point.h"
 #include "common/stopwatch.h"
@@ -670,6 +671,34 @@ Result<Dataset> ReadJsonl(const std::string& path, ThreadPool* pool) {
 
 namespace {
 
+/// A lower bound on the compact JSON size of `v`: every string at least its
+/// raw bytes plus quotes (escapes only add), every number one digit.
+size_t MinJsonBytes(const json::Value& v) {
+  switch (v.type()) {
+    case json::Value::Type::kNull:
+    case json::Value::Type::kBool:
+      return 4;
+    case json::Value::Type::kInt:
+    case json::Value::Type::kDouble:
+      return 1;
+    case json::Value::Type::kString:
+      return v.as_string().size() + 2;
+    case json::Value::Type::kArray: {
+      size_t n = 1 + v.as_array().size();
+      for (const json::Value& e : v.as_array()) n += MinJsonBytes(e);
+      return n;
+    }
+    case json::Value::Type::kObject: {
+      size_t n = 1 + v.as_object().size();
+      for (const auto& [key, value] : v.as_object().entries()) {
+        n += key.size() + 3 + MinJsonBytes(value);
+      }
+      return n;
+    }
+  }
+  return 0;
+}
+
 /// The JSONL text of `dataset` as ordered parts: one part serially, fixed
 /// row-range chunks (independent of scheduling) stringified concurrently on
 /// a pool. Concatenated, the parts are the same bytes either way.
@@ -728,7 +757,20 @@ std::vector<std::string> JsonlParts(const Dataset& dataset, ThreadPool* pool) {
     for (size_t c = begin; c < end; ++c) {
       const size_t row_begin = std::min(rows, c * per);
       const size_t row_end = std::min(rows, (c + 1) * per);
-      parts[c].reserve(est_row_bytes * (row_end - row_begin) + 64);
+      // The sampled estimate can overstate a part, so huge pages cover only
+      // the bytes a lower bound guarantees will be written.
+      size_t min_bytes = 0;
+      for (size_t i = row_begin; i < row_end; ++i) {
+        min_bytes += 3;  // '{', '}', '\n'
+        for (size_t k = 0; k < cols.size(); ++k) {
+          const json::Value& v = (*cols[k])[i];
+          if (!v.is_null()) min_bytes += keys[k].size() + MinJsonBytes(v);
+        }
+      }
+      ReserveLarge(&parts[c],
+                   std::max(est_row_bytes * (row_end - row_begin) + 64,
+                            min_bytes),
+                   min_bytes);
       stringify_rows(row_begin, row_end, &parts[c]);
     }
   };
@@ -828,7 +870,9 @@ std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool,
   }
   // Pass 2: one allocation at the final size; each shard is encoded at its
   // own offset and hashed where it lies, so nothing is gathered or copied.
-  std::string out(total, '\0');
+  std::string out;
+  ReserveLarge(&out, total);
+  out.resize(total);
   MaybeParallelFor(pool, num_shards, [&](size_t begin, size_t end) {
     for (size_t s = begin; s < end; ++s) {
       BufferSink sink(out.data() + offsets[s]);

@@ -1,33 +1,132 @@
 #include "json/parser.h"
 
-#include <cctype>
+#include <algorithm>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <string>
+#include <system_error>
+#include <vector>
 
 namespace dj::json {
 namespace {
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// Compares the magnitude of a valid decimal float literal `token` with
+/// m * 2^-q exactly: -1, 0 or +1. Both sides become 0.DIGITS x 10^point
+/// with no leading or trailing zero digit; m * 2^-q is m * 5^q x 10^-q,
+/// so its digits come from a small base-1e9 bignum. Only called on the
+/// rare tokens whose double is subnormal or DBL_MIN, where strtod's ERANGE
+/// depends on the exact value.
+int CompareToDyadic(std::string_view token, uint64_t m, int q) {
+  std::string digits;
+  int64_t point = 0;
+  size_t i = token[0] == '-' || token[0] == '+' ? 1 : 0;
+  bool in_fraction = false;
+  for (; i < token.size() && token[i] != 'e' && token[i] != 'E'; ++i) {
+    if (token[i] == '.') {
+      in_fraction = true;
+    } else if (digits.empty() && token[i] == '0') {
+      if (in_fraction) --point;
+    } else {
+      digits.push_back(token[i]);
+      if (!in_fraction) ++point;
+    }
+  }
+  if (i < token.size()) {
+    ++i;
+    const bool negative = token[i] == '-';
+    if (token[i] == '-' || token[i] == '+') ++i;
+    int64_t exp = 0;
+    for (; i < token.size(); ++i) {
+      exp = std::min<int64_t>(exp * 10 + (token[i] - '0'), int64_t{1} << 40);
+    }
+    point += negative ? -exp : exp;
+  }
+  while (!digits.empty() && digits.back() == '0') digits.pop_back();
+
+  std::vector<uint64_t> limbs;  // little-endian, base 1e9
+  for (; m != 0; m /= 1000000000) limbs.push_back(m % 1000000000);
+  for (int left = q; left > 0; left -= 13) {
+    uint64_t factor = 1;  // 5^13 at most: limb * factor fits in 64 bits
+    for (int k = 0; k < std::min(left, 13); ++k) factor *= 5;
+    uint64_t carry = 0;
+    for (uint64_t& limb : limbs) {
+      const uint64_t v = limb * factor + carry;
+      limb = v % 1000000000;
+      carry = v / 1000000000;
+    }
+    for (; carry != 0; carry /= 1000000000) {
+      limbs.push_back(carry % 1000000000);
+    }
+  }
+  std::string other;
+  for (size_t l = limbs.size(); l-- > 0;) {
+    char chunk[9];
+    uint64_t v = limbs[l];
+    for (int k = 8; k >= 0; --k, v /= 10) {
+      chunk[k] = static_cast<char>('0' + v % 10);
+    }
+    other.append(chunk, 9);
+  }
+  const size_t lead = other.find_first_not_of('0');
+  other.erase(0, lead == std::string::npos ? other.size() : lead);
+  const int64_t other_point = static_cast<int64_t>(other.size()) - q;
+  while (!other.empty() && other.back() == '0') other.pop_back();
+
+  if (digits.empty() || other.empty()) {
+    return digits.empty() == other.empty() ? 0 : (digits.empty() ? -1 : 1);
+  }
+  if (point != other_point) return point < other_point ? -1 : 1;
+  const int c = digits.compare(other);
+  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+}
 
 /// Converts a scanned number token to a Value. Single source of truth for
 /// number semantics: both the scalar parser and the indexed fast path call
 /// this, so they cannot disagree on a value. Returns false when the token
 /// is malformed (the caller turns that into its own error/fallback).
-bool NumberTokenToValue(const std::string& token, bool is_double, Value* out) {
+///
+/// Accepts and rejects what strtoll/strtod do in the C locale, with the
+/// same values, without the locale or a NUL-terminated copy: a leading '+'
+/// is allowed, an integer that overflows int64 becomes a double, and a
+/// double strtod flags with ERANGE is rejected — overflow, underflow to
+/// zero, and (glibc) an inexact result that is tiny, i.e. below DBL_MIN
+/// once rounded to 53 bits with an unbounded exponent. The one known
+/// difference: glibc misses the inexact flag on some 700+ digit tokens that
+/// fall between two subnormals, which are rejected here.
+bool NumberTokenToValue(std::string_view token, bool is_double, Value* out) {
+  std::string_view body = token;
+  if (body.size() > 1 && body[0] == '+' && body[1] != '-' && body[1] != '+') {
+    body.remove_prefix(1);
+  }
+  const char* const first = body.data();
+  const char* const last = first + body.size();
   if (!is_double) {
-    errno = 0;
-    char* end = nullptr;
-    long long v = std::strtoll(token.c_str(), &end, 10);
-    if (errno == 0 && end == token.c_str() + token.size()) {
-      *out = Value(static_cast<int64_t>(v));
+    int64_t v = 0;
+    auto r = std::from_chars(first, last, v);
+    if (r.ec == std::errc() && r.ptr == last) {
+      *out = Value(v);
       return true;
     }
     // Fall through: integer overflow becomes a double.
   }
-  errno = 0;
-  char* end = nullptr;
-  double d = std::strtod(token.c_str(), &end);
-  if (errno != 0 || end != token.c_str() + token.size() || !std::isfinite(d)) {
-    return false;
+  double d = 0;
+  auto r = std::from_chars(first, last, d);
+  if (r.ec != std::errc() || r.ptr != last) return false;
+  const double mag = std::fabs(d);
+  if (mag != 0 && mag < DBL_MIN) {
+    // Subnormal: tiny, so strtod flags it unless it is exact.
+    const auto k = static_cast<uint64_t>(mag / DBL_TRUE_MIN);
+    if (CompareToDyadic(token, k, 1074) != 0) return false;
+  } else if (mag == DBL_MIN) {
+    // Rounded up to DBL_MIN: tiny when below DBL_MIN - 2^-1076, the point
+    // where 53-bit rounding reaches DBL_MIN.
+    if (CompareToDyadic(token, (uint64_t{1} << 54) - 1, 1076) < 0) {
+      return false;
+    }
   }
   *out = Value(d);
   return true;
@@ -322,7 +421,7 @@ class Parser {
     bool is_double = false;
     while (!AtEnd()) {
       char c = Peek();
-      if (std::isdigit(static_cast<unsigned char>(c))) {
+      if (IsDigit(c)) {
         ++pos_;
       } else if (c == '.' || c == 'e' || c == 'E') {
         is_double = true;
@@ -333,9 +432,9 @@ class Parser {
       }
     }
     if (pos_ == start) return Error("invalid value");
-    std::string token(text_.substr(start, pos_ - start));
+    std::string_view token = text_.substr(start, pos_ - start);
     if (!NumberTokenToValue(token, is_double, out)) {
-      return Error("malformed number '" + token + "'");
+      return Error("malformed number '" + std::string(token) + "'");
     }
     return Status::Ok();
   }
@@ -560,7 +659,7 @@ class IndexedParser {
     bool is_double = false;
     while (pos_ < t_.size()) {
       char c = t_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
+      if (IsDigit(c)) {
         ++pos_;
       } else if (c == '.' || c == 'e' || c == 'E') {
         is_double = true;
@@ -587,7 +686,7 @@ class IndexedParser {
         return true;
       }
     }
-    return NumberTokenToValue(std::string(token), is_double, out);
+    return NumberTokenToValue(token, is_double, out);
   }
 
   std::string_view t_;

@@ -1,9 +1,9 @@
 #include "json/writer.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string_view>
+#include <system_error>
 
 #include "common/swar.h"
 
@@ -21,9 +21,7 @@ void Indent(int depth, std::string* out) {
 void WriteNumber(const Value& v, std::string* out) {
   char buf[64];
   if (v.is_int()) {
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(v.as_int()));
-    out->append(buf);
+    out->append(buf, std::to_chars(buf, buf + sizeof(buf), v.as_int()).ptr);
     return;
   }
   double d = v.as_double();
@@ -32,22 +30,22 @@ void WriteNumber(const Value& v, std::string* out) {
     out->append("null");
     return;
   }
-  // %.17g round-trips doubles; trim to shortest representation that parses
-  // back equal for readability.
+  // 17 significant digits round-trip any double; take the shortest of
+  // 15/16/17 that parses back equal. to_chars/from_chars are the
+  // locale-free twins of printf("%.*g") and strtod, digit for digit.
+  char* end = buf;
   for (int prec : {15, 16, 17}) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, d);
-    if (std::strtod(buf, nullptr) == d) break;
+    end = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general,
+                        prec)
+              .ptr;
+    double back = 0;
+    auto parsed = std::from_chars(buf, end, back);
+    if (parsed.ec == std::errc() && back == d) break;
   }
-  out->append(buf);
+  const std::string_view sv(buf, static_cast<size_t>(end - buf));
+  out->append(sv);
   // Ensure a double stays a double on re-parse.
-  std::string_view sv(buf);
-  if (sv.find('.') == std::string_view::npos &&
-      sv.find('e') == std::string_view::npos &&
-      sv.find('E') == std::string_view::npos &&
-      sv.find("inf") == std::string_view::npos &&
-      sv.find("nan") == std::string_view::npos) {
-    out->append(".0");
-  }
+  if (sv.find_first_of(".e") == std::string_view::npos) out->append(".0");
 }
 
 void WriteArray(const Array& arr, const WriteOptions& opts, int depth,
@@ -151,9 +149,10 @@ void EscapeStringTo(std::string_view s, std::string* out) {
       default: {
         // c < 0x20 here: JsonCleanSpan only stops on '"', '\\', or control
         // bytes.
-        char buf[8];
-        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-        out->append(buf);
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escaped[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                 kHex[c & 0xF]};
+        out->append(escaped, sizeof(escaped));
       }
     }
     ++i;

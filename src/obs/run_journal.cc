@@ -100,6 +100,7 @@ json::Value RunJournal::MetricsJson() const {
   resources.Set("cpu_seconds", json::Value(resources_.cpu_seconds));
   resources.Set("avg_cpu_utilization",
                 json::Value(resources_.avg_cpu_utilization));
+  resources.Set("minor_faults", json::Value(resources_.minor_faults));
   resources.Set("samples", json::Value(static_cast<int64_t>(
                                resource_samples_)));
   out.Set("resources", json::Value(std::move(resources)));

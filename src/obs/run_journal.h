@@ -39,6 +39,7 @@ struct ResourceUsage {
   uint64_t avg_rss_bytes = 0;
   double cpu_seconds = 0;
   double avg_cpu_utilization = 0;
+  uint64_t minor_faults = 0;
 };
 
 /// Merges the three observability streams of one run — executor OP reports,

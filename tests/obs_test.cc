@@ -260,6 +260,7 @@ TEST(RunJournalTest, MetricsJsonCarriesAllSections) {
   ResourceUsage usage;
   usage.wall_seconds = 1.0;
   usage.peak_rss_bytes = 1 << 20;
+  usage.minor_faults = 4321;
   journal.SetResources(usage);
   journal.AddResourceSample(0.1, 1 << 20, 0.05);
 
@@ -281,6 +282,8 @@ TEST(RunJournalTest, MetricsJsonCarriesAllSections) {
   const json::Value* cache = report.as_object().Find("cache");
   EXPECT_EQ(cache->as_object().Find("hits")->as_int(), 3);
   EXPECT_EQ(cache->as_object().Find("misses")->as_int(), 5);
+  const json::Value* resources = report.as_object().Find("resources");
+  EXPECT_EQ(resources->as_object().Find("minor_faults")->as_int(), 4321);
   // The resource sample became trace counter events.
   EXPECT_EQ(recorder.EventCount(), 2u);  // rss_mib + cpu_seconds
 }

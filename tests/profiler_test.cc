@@ -413,6 +413,36 @@ TEST(ResourceMonitorTest, ReadCpuSecondsFromStatFormat) {
   EXPECT_DOUBLE_EQ(ResourceMonitor::ReadCpuSecondsFrom("/nonexistent"), 0);
 }
 
+TEST(ResourceMonitorTest, ReadMinorFaultsFromStatFormat) {
+  std::string path = ::testing::TempDir() + "/dj_stat_minflt_fixture";
+  FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  // minflt is field 10 (100 here); tpgid (field 8) is -1.
+  std::fputs(
+      "1234 (weird (comm) name) S 1 1 1 0 -1 4194304 100 7 3 5 "
+      "200 100 0 0 20 0 1 0 12345 1000000 50 18446744073709551615\n",
+      f);
+  std::fclose(f);
+  EXPECT_EQ(ResourceMonitor::ReadMinorFaultsFrom(path.c_str()), 100u);
+  std::remove(path.c_str());
+  EXPECT_EQ(ResourceMonitor::ReadMinorFaultsFrom("/nonexistent"), 0u);
+}
+
+TEST(ResourceMonitorTest, FirstTouchShowsAsMinorFaults) {
+  ResourceMonitor monitor(/*interval_seconds=*/10.0);
+  monitor.Start();
+  // 16 MiB of fresh, zero-filled memory: at least one fault per 2 MiB even
+  // if the kernel backs it with huge pages.
+  constexpr size_t kBytes = size_t{16} << 20;
+  std::unique_ptr<char[]> fresh(new char[kBytes]());
+  volatile char sink = fresh[kBytes - 1];
+  (void)sink;
+  ResourceReport report = monitor.Stop();
+  EXPECT_GE(report.minor_faults, kBytes >> 21);
+  EXPECT_GT(ResourceMonitor::ReadMinorFaultsFrom("/proc/self/stat"), 0u);
+  EXPECT_GE(ResourceMonitor::CurrentMinorFaults(), report.minor_faults);
+}
+
 TEST(ResourceMonitorTest, ReadPeakRssFromStatusFormat) {
   std::string path = ::testing::TempDir() + "/dj_status_fixture";
   FILE* f = std::fopen(path.c_str(), "w");

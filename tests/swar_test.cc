@@ -6,6 +6,7 @@
 // and asserts identical results — the dispatch level may only change speed.
 
 #include <cstring>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -102,20 +103,34 @@ TEST(SwarKernelTest, JsonCleanSpanMatchesScalar) {
   }
 }
 
-TEST(SwarKernelTest, AppendMatchMatchesScalar) {
+TEST(SwarKernelTest, CopyMatchMatchesScalar) {
   // Overlap-heavy cases: offset < len replicates runs.
   const struct {
     size_t offset;
     size_t len;
-  } cases[] = {{1, 1},  {1, 100}, {2, 37}, {3, 8},   {7, 21},
-               {8, 64}, {9, 9},   {16, 5}, {40, 80}, {64, 1000}};
+  } cases[] = {{1, 1},  {1, 100}, {2, 37}, {3, 8},   {7, 21},  {8, 64},
+               {9, 9},  {16, 5},  {40, 80}, {64, 1000}, {8, 7}, {5, 0}};
+  const std::string seed =
+      "abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ-_.!?";
   for (const auto& c : cases) {
-    std::string seed = "abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGHIJKLM"
-                       "NOPQRSTUVWXYZ-_.!?";
-    std::string fast = seed, ref = seed;
-    swar::AppendMatch(&fast, c.offset, c.len);
-    swar::scalar::AppendMatch(&ref, c.offset, c.len);
-    ASSERT_EQ(fast, ref) << "offset=" << c.offset << " len=" << c.len;
+    // Exact-size heap buffers: a write past the match is a heap overflow
+    // under ASan, not a silent scribble into slack capacity.
+    const size_t n = seed.size() + c.len;
+    std::unique_ptr<char[]> fast(new char[n]);
+    std::unique_ptr<char[]> ref(new char[n]);
+    std::memcpy(fast.get(), seed.data(), seed.size());
+    std::memcpy(ref.get(), seed.data(), seed.size());
+    swar::CopyMatch(fast.get() + seed.size(), c.offset, c.len);
+    swar::scalar::CopyMatch(ref.get() + seed.size(), c.offset, c.len);
+    ASSERT_EQ(std::string(fast.get(), n), std::string(ref.get(), n))
+        << "offset=" << c.offset << " len=" << c.len;
+    // The byte-at-a-time reference: out[i] = out[i - offset].
+    std::string want = seed;
+    for (size_t i = 0; i < c.len; ++i) {
+      want.push_back(want[want.size() - c.offset]);
+    }
+    ASSERT_EQ(std::string(ref.get(), n), want)
+        << "offset=" << c.offset << " len=" << c.len;
   }
 }
 

@@ -391,6 +391,7 @@ int main(int argc, char** argv) {
     usage.avg_rss_bytes = resources.avg_rss_bytes;
     usage.cpu_seconds = resources.cpu_seconds;
     usage.avg_cpu_utilization = resources.avg_cpu_utilization;
+    usage.minor_faults = resources.minor_faults;
     journal.SetResources(usage);
     journal.SetProfile(profile_report.ToJson());
     for (const dj::ResourceSample& s : monitor.Samples()) {
