@@ -3,14 +3,36 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "common/file_util.h"
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "compress/djlz.h"
 #include "data/io.h"
+#include "fault/fault.h"
 #include "json/writer.h"
 
 namespace dj::core {
 namespace fs = std::filesystem;
+namespace {
+
+/// Whether `name` is an entry as PathFor names it: "<16 hex>.djds" or
+/// "<16 hex>.djds.djlz".
+bool IsEntryName(std::string_view name) {
+  if (name.size() < 16) return false;
+  for (char c : name.substr(0, 16)) {
+    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
+  }
+  const std::string_view ext = name.substr(16);
+  return ext == ".djds" || ext == ".djds.djlz";
+}
+
+/// An entry, or the ".tmp" an interrupted Store left of one.
+bool IsEntryOrTempName(std::string_view name) {
+  if (EndsWith(name, ".tmp")) name.remove_suffix(4);
+  return IsEntryName(name);
+}
+
+}  // namespace
 
 uint64_t CacheManager::InitialKey(std::string_view source_id) {
   return Fnv1a64(source_id, 0xDA7A0CACE5ULL);
@@ -23,6 +45,17 @@ uint64_t CacheManager::ExtendKey(uint64_t key, std::string_view op_name,
   uint64_t op_hash = Fnv1a64(op_name);
   uint64_t config_hash = Fnv1a64(json::Write(effective_config));
   return HashCombine(HashCombine(key, op_hash), config_hash);
+}
+
+bool CacheManager::SameDir(const std::string& a, const std::string& b) {
+  auto normal = [](const std::string& dir) {
+    std::error_code ec;
+    fs::path p = fs::weakly_canonical(dir, ec);
+    if (ec) p = dir;
+    p = p.lexically_normal();
+    return p.has_filename() ? p : p.parent_path();  // drop a trailing '/'
+  };
+  return normal(a) == normal(b);
 }
 
 std::string CacheManager::PathFor(uint64_t key) const {
@@ -71,7 +104,29 @@ Status CacheManager::Store(uint64_t key, const data::Dataset& dataset) const {
   if (compression_) blob = compress::CompressFrame(blob, pool_);
   Bump("cache.stores");
   Bump("cache.store_bytes", blob.size());
-  return data::WriteFile(PathFor(key), blob);
+  const std::string path = PathFor(key);
+  if (DJ_FAULT("store.torn_write")) {
+    // Simulated crash mid-write: only a torn temp file lands on disk; the
+    // previous entry for the key (if any) is untouched.
+    WriteStringToFile(path + ".tmp",
+                      std::string_view(blob).substr(0, blob.size() * 2 / 3));
+    return Status::IoError("fault injected: store.torn_write on '" + path +
+                           "' (torn temp file)");
+  }
+  return WriteStringToFileAtomic(path, blob);
+}
+
+Status CacheManager::StoreLatest(uint64_t key,
+                                 const data::Dataset& dataset) const {
+  DJ_RETURN_IF_ERROR(Store(key, dataset));
+  if (DJ_FAULT("store.before_evict")) {
+    // Simulated crash after the new entry landed: the older entries stay,
+    // and a resume scan takes the deepest of them.
+    return Status::IoError(
+        "fault injected: store.before_evict (older entries not evicted)");
+  }
+  RemoveEntriesExcept(fs::path(PathFor(key)).filename().string());
+  return Status::Ok();
 }
 
 void CacheManager::Evict(uint64_t key) const {
@@ -79,27 +134,25 @@ void CacheManager::Evict(uint64_t key) const {
   fs::remove(PathFor(key), ec);
 }
 
-void CacheManager::Clear() const {
+void CacheManager::RemoveEntriesExcept(const std::string& keep_name) const {
   std::error_code ec;
-  if (!fs::exists(dir_, ec)) return;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    std::string name = entry.path().filename().string();
-    if (EndsWith(name, ".djds") || EndsWith(name, ".djds.djlz")) {
+    const std::string name = entry.path().filename().string();
+    if (IsEntryOrTempName(name) && name != keep_name) {
       fs::remove(entry.path(), ec);
     }
   }
 }
 
+void CacheManager::Clear() const { RemoveEntriesExcept(""); }
+
 uint64_t CacheManager::TotalBytes() const {
   std::error_code ec;
-  if (!fs::exists(dir_, ec)) return 0;
   uint64_t total = 0;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    if (entry.is_regular_file(ec)) {
-      std::string name = entry.path().filename().string();
-      if (EndsWith(name, ".djds") || EndsWith(name, ".djds.djlz")) {
-        total += entry.file_size(ec);
-      }
+    if (entry.is_regular_file(ec) &&
+        IsEntryName(entry.path().filename().string())) {
+      total += entry.file_size(ec);
     }
   }
   return total;

@@ -11,22 +11,30 @@
 
 namespace dj::core {
 
-/// Per-OP dataset cache keyed by a configuration hash (paper Sec. 5.1.1 and
+/// Dataset state store keyed by a configuration hash (paper Sec. 5.1.1 and
 /// Sec. 7 "Caching OPs and Compression"). The key for OP i is the combined
 /// hash of the dataset source id and the effective configs of OPs 0..i, so
-/// any upstream parameter change invalidates downstream cache entries —
-/// this is the "dedicated and simple hashing method" that sidesteps
-/// serializing auxiliary models.
+/// any upstream parameter change invalidates downstream entries — this is
+/// the "dedicated and simple hashing method" that sidesteps serializing
+/// auxiliary models.
 ///
-/// Files are DJDS blobs, optionally djlz-compressed ("<key>.djds" /
-/// "<key>.djds.djlz").
+/// It serves both as the per-OP cache, which keeps every entry, and as the
+/// checkpoint store, which keeps only its newest one (StoreLatest): a
+/// checkpoint is the newest entry in its directory.
+///
+/// Entries are DJDS blobs, optionally djlz-compressed, named
+/// "<16 hex digits of the key>.djds" / ".djds.djlz". Both containers carry
+/// their own checksums, so a torn or flipped entry fails Load with
+/// Corruption. Store writes a temp file, fsyncs it and renames it over the
+/// entry (WriteStringToFileAtomic): a crash mid-store leaves the previous
+/// entry for the key intact plus a stray "<entry>.tmp", which Clear()
+/// removes. Other files in the directory are never touched.
 ///
 /// Thread-compatibility: CacheManager holds no mutex by design. It is safe
-/// to use distinct instances from distinct threads, but a single instance
-/// must be externally synchronized (the executor drives it from the
-/// pipeline thread only). Concurrent Store() calls for the *same* key from
-/// different instances are crash-safe — both go through temp-file + rename
-/// — but the last rename wins.
+/// to use distinct instances on distinct directories from distinct threads,
+/// but a directory has one writer at a time (the executor drives its stores
+/// from the pipeline thread only): two writers of the same key share one
+/// temp file, and the entry they publish fails its checksums at Load.
 class CacheManager {
  public:
   CacheManager(std::string dir, bool compression)
@@ -41,7 +49,7 @@ class CacheManager {
   void SetMetrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
   /// Attaches a thread pool (not owned; nullptr detaches): Load and Store
-  /// run the DJDS shard codec and djlz block codec on it. Cache bytes are
+  /// run the DJDS shard codec and djlz block codec on it. Entry bytes are
   /// identical with or without a pool.
   void SetPool(ThreadPool* pool) { pool_ = pool; }
 
@@ -49,29 +57,41 @@ class CacheManager {
   static uint64_t ExtendKey(uint64_t key, std::string_view op_name,
                             const json::Value& effective_config);
 
-  /// Initial key for a dataset (callers pass a stable source id, e.g. the
-  /// input path + row count).
+  /// Initial key: a hash of `source_id` alone. Executor::OptionsFromRecipe
+  /// passes the recipe's dataset_path, so an input edited in place keeps its
+  /// key and its stale entries (ROADMAP item 6: key by content).
   static uint64_t InitialKey(std::string_view source_id);
 
   bool Contains(uint64_t key) const;
 
-  /// Loads the cached dataset for `key`; NotFound when absent.
+  /// Loads the entry for `key`; NotFound when absent, Corruption when its
+  /// bytes fail the djlz or DJDS checks.
   Result<data::Dataset> Load(uint64_t key) const;
 
-  /// Stores `dataset` under `key` (overwrites).
+  /// Stores `dataset` under `key` (overwrites) via temp file + fsync +
+  /// rename. Fail point "store.torn_write" leaves a torn temp file instead.
   Status Store(uint64_t key, const data::Dataset& dataset) const;
+
+  /// Store, then evict every other entry: the directory keeps only the
+  /// newest state. Fail point "store.before_evict" stops after the new
+  /// entry lands, leaving the older entries in place.
+  Status StoreLatest(uint64_t key, const data::Dataset& dataset) const;
 
   /// Removes the entry for `key` if present.
   void Evict(uint64_t key) const;
 
-  /// Removes every cache file in the directory.
+  /// Removes every entry and every leftover temp file in the directory.
   void Clear() const;
 
-  /// Total bytes currently used by cache files.
+  /// Total bytes currently used by entries.
   uint64_t TotalBytes() const;
+
+  /// Whether two directory paths name one directory (so one store).
+  static bool SameDir(const std::string& a, const std::string& b);
 
  private:
   std::string PathFor(uint64_t key) const;
+  void RemoveEntriesExcept(const std::string& keep_name) const;
   void Bump(std::string_view counter, uint64_t delta = 1) const;
 
   std::string dir_;

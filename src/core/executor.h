@@ -7,7 +7,6 @@
 
 #include "common/status.h"
 #include "core/cache_manager.h"
-#include "core/checkpoint.h"
 #include "core/fusion.h"
 #include "core/recipe.h"
 #include "core/tracer.h"
@@ -83,6 +82,9 @@ class Executor {
     /// Stable id of the input dataset for cache keys (e.g. its path).
     std::string dataset_source_id = "in-memory";
 
+    /// Checkpoints go to a CacheManager on `checkpoint_dir` that keeps only
+    /// its newest entry. A checkpoint_dir that is the cache_dir (with
+    /// use_cache) is that one store: it already holds the newest state.
     bool use_checkpoint = false;
     std::string checkpoint_dir;
     /// Space-time trade-off of paper Sec. 5.1.1: checkpoint after every
@@ -101,16 +103,12 @@ class Executor {
     obs::MetricsRegistry* metrics = nullptr;
     obs::SpanRecorder* spans = nullptr;
 
-    /// Test hook: the OP at this pipeline index fails after its unit starts
-    /// (-1 = disabled). Exercises checkpoint-on-failure.
-    int inject_failure_at = -1;
-
     /// Fail-point activation spec applied to the process-wide
     /// fault::FaultRegistry at the start of Run() (same syntax as the
     /// DJ_FAULTS env var, e.g. "seed=7;exec.op_abort=n3"). Empty leaves the
     /// registry untouched. The executor probes "exec.op_abort" once per
     /// plan unit, so nth-hit specs kill the pipeline at exact OP
-    /// boundaries; armed points in deeper layers (io.*, ckpt.*,
+    /// boundaries; armed points in deeper layers (io.*, store.*,
     /// compress.*) fire wherever those layers run.
     std::string faults;
 

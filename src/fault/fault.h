@@ -68,7 +68,7 @@ class FaultRegistry {
   ///   `off`    disarm the point
   /// plus the pseudo-entry `seed=U` which reseeds the registry (and must
   /// come first to affect the entries after it). Example:
-  ///   DJ_FAULTS="seed=7;ckpt.after_blob=n1;io.read.corrupt=p0.1"
+  ///   DJ_FAULTS="seed=7;store.before_evict=n1;io.read.corrupt=p0.1"
   Status Configure(std::string_view spec);
 
   /// Configure() from the DJ_FAULTS environment variable; unset or empty is
@@ -149,7 +149,7 @@ class ScopedFaults {
 }  // namespace dj::fault
 
 /// Fail-point probe macro used at injection sites:
-///   if (DJ_FAULT("ckpt.after_blob")) return Status::IoError(...);
+///   if (DJ_FAULT("store.torn_write")) return Status::IoError(...);
 #define DJ_FAULT(name) (::dj::fault::ShouldFail(name))
 
 #endif  // DJ_FAULT_FAULT_H_

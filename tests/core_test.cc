@@ -5,7 +5,6 @@
 #include "common/hash.h"
 #include "common/swar.h"
 #include "core/cache_manager.h"
-#include "core/checkpoint.h"
 #include "core/executor.h"
 #include "core/fusion.h"
 #include "core/plan_verify.h"
@@ -13,6 +12,7 @@
 #include "core/space_model.h"
 #include "core/tracer.h"
 #include "data/io.h"
+#include "fault/fault.h"
 #include "json/parser.h"
 #include "json/writer.h"
 #include "obs/metrics.h"
@@ -623,44 +623,55 @@ TEST(ExecutorTest, RetiredCacheEntriesAreEvictedAndRecomputed) {
   EXPECT_EQ(rewritten, planted);
 }
 
-// --------------------------------------------------------- checkpoint ----
-
-TEST(CheckpointTest, SaveLoadRoundTrip) {
-  CheckpointManager mgr(TempDir("ckpt1"));
-  CheckpointState state;
-  state.next_op_index = 2;
-  state.pipeline_key = 777;
-  state.dataset = data::Dataset::FromTexts({"saved"});
-  ASSERT_TRUE(mgr.Save(state).ok());
-  auto loaded = mgr.LoadLatest();
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().next_op_index, 2u);
-  EXPECT_EQ(loaded.value().pipeline_key, 777u);
-  EXPECT_EQ(loaded.value().dataset.GetTextAt(0), "saved");
-  EXPECT_TRUE(mgr.LoadIfCompatible(777).ok());
-  EXPECT_FALSE(mgr.LoadIfCompatible(778).ok());
-  mgr.Clear();
-  EXPECT_FALSE(mgr.LoadLatest().ok());
+TEST(CacheManagerTest, TornStoreKeepsPreviousEntry) {
+  // A crash mid-Store leaves only a torn temp file: the entry already under
+  // the key still loads, and Clear() removes the leftover.
+  for (bool compression : {false, true}) {
+    std::string dir = TempDir(compression ? "torn_store_djlz" : "torn_store");
+    CacheManager cache(dir, compression);
+    ASSERT_TRUE(cache.Store(7, data::Dataset::FromTexts({"old"})).ok());
+    {
+      fault::ScopedFaults faults("store.torn_write=n1");
+      ASSERT_TRUE(faults.status().ok());
+      Status torn = cache.Store(7, data::Dataset::FromTexts({"new", "rows"}));
+      EXPECT_EQ(torn.code(), StatusCode::kIoError) << torn.ToString();
+    }
+    size_t temps = 0;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      temps += entry.path().extension() == ".tmp";
+    }
+    EXPECT_EQ(temps, 1u);
+    auto loaded = cache.Load(7);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ(loaded.value().NumRows(), 1u);
+    EXPECT_EQ(loaded.value().GetTextAt(0), "old");
+    cache.Clear();
+    EXPECT_TRUE(fs::is_empty(dir)) << dir;
+  }
 }
+
+// --------------------------------------------------------- checkpoint ----
 
 TEST(ExecutorTest, ResumesAfterInjectedFailure) {
   std::string dir = TempDir("ckpt_exec");
-  auto options = [&](int fail_at) {
+  auto options = [&](std::string faults) {
     Executor::Options o;
     o.use_checkpoint = true;
     o.checkpoint_dir = dir;
     o.dataset_source_id = "corpus-v1";
-    o.inject_failure_at = fail_at;
+    o.faults = std::move(faults);
     return o;
   };
+  // The 8th unit-boundary probe aborts before unit 7.
   auto ops1 = FourteenOpPipeline();
-  Executor failing(options(7));
+  Executor failing(options("exec.op_abort=n8"));
   auto failed = failing.Run(NoisyCorpus(), ops1, nullptr);
   EXPECT_FALSE(failed.ok());
+  fault::FaultRegistry::Global().Reset();
 
-  // Re-run without injection: resumes from the checkpoint after unit 6.
+  // Re-run without the fault: resumes from the checkpoint after unit 6.
   auto ops2 = FourteenOpPipeline();
-  Executor resuming(options(-1));
+  Executor resuming(options(""));
   RunReport report;
   auto result = resuming.Run(NoisyCorpus(), ops2, &report);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -726,11 +737,16 @@ TEST(ExecutorTest, AllFeaturesCombinedUnderParallelism) {
   for (size_t i = 0; i < result.value().NumRows(); ++i) {
     EXPECT_EQ(result.value().GetTextAt(i), expected.value().GetTextAt(i));
   }
-  // Cache and checkpoint artifacts materialized.
+  // Cache and checkpoint artifacts materialized: the checkpoint directory
+  // holds one entry, the final state.
   CacheManager cache(dir + "/cache", true);
   EXPECT_GT(cache.TotalBytes(), 0u);
-  CheckpointManager checkpoints(dir + "/ckpt");
-  EXPECT_TRUE(checkpoints.LoadLatest().ok());
+  size_t checkpoint_files = 0;
+  for (const auto& entry : fs::directory_iterator(dir + "/ckpt")) {
+    EXPECT_EQ(entry.path().extension(), ".djds") << entry.path();
+    ++checkpoint_files;
+  }
+  EXPECT_EQ(checkpoint_files, 1u);
 
   // A re-run with the same options skips all the work: the checkpoint
   // (saved after the final unit) takes precedence over the cache scan.
@@ -749,21 +765,22 @@ TEST(ExecutorTest, CheckpointFrequencyCoarsensResumePoint) {
   // checkpoint is the one from unit 4, so the resumed run re-executes
   // units 4..13 (10 units) instead of 7.
   std::string dir = TempDir("ckpt_freq");
-  auto options = [&](int fail_at) {
+  auto options = [&](std::string faults) {
     Executor::Options o;
     o.use_checkpoint = true;
     o.checkpoint_dir = dir;
     o.checkpoint_every_n_units = 4;
     o.dataset_source_id = "corpus-v1";
-    o.inject_failure_at = fail_at;
+    o.faults = std::move(faults);
     return o;
   };
   auto ops1 = FourteenOpPipeline();
-  Executor failing(options(7));
+  Executor failing(options("exec.op_abort=n8"));
   EXPECT_FALSE(failing.Run(NoisyCorpus(), ops1, nullptr).ok());
+  fault::FaultRegistry::Global().Reset();
 
   auto ops2 = FourteenOpPipeline();
-  Executor resuming(options(-1));
+  Executor resuming(options(""));
   RunReport report;
   auto result = resuming.Run(NoisyCorpus(), ops2, &report);
   ASSERT_TRUE(result.ok());

@@ -6,7 +6,8 @@
 #include <string>
 #include <vector>
 
-#include "core/checkpoint.h"
+#include "common/hash.h"
+#include "core/cache_manager.h"
 #include "core/executor.h"
 #include "data/io.h"
 #include "json/parser.h"
@@ -17,8 +18,8 @@
 #include "workload/generator.h"
 
 // The fault-injection harness: fail-point registry semantics, seed
-// determinism, observability emission, crash-atomic checkpointing under
-// injected crashes, and the crash matrix — every shipped recipe killed at
+// determinism, observability emission, the crash-atomic state store under
+// injected crashes and damaged entries, and the crash matrix — every shipped recipe killed at
 // every OP boundary, resumed, and required to produce byte-identical output.
 
 #ifndef DJ_REPO_DIR
@@ -173,163 +174,6 @@ TEST(FaultObsTest, TriggersBumpMetricsAndEmitInstants) {
   EXPECT_NE(trace.find("fault:obs.point"), std::string::npos) << trace;
 }
 
-// ------------------------------------------- checkpoint crash windows ----
-
-core::CheckpointState MakeState(size_t next_op_index, uint64_t key,
-                                std::vector<std::string> texts) {
-  core::CheckpointState state;
-  state.next_op_index = next_op_index;
-  state.pipeline_key = key;
-  state.dataset = data::Dataset::FromTexts(std::move(texts));
-  return state;
-}
-
-class CheckpointCrashTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(CheckpointCrashTest, CrashLeavesPreviousCheckpointLoadable) {
-  std::string dir = TempDir(std::string("crash_") + GetParam());
-  core::CheckpointManager mgr(dir);
-  ASSERT_TRUE(mgr.Save(MakeState(1, 111, {"one"})).ok());
-
-  {
-    ScopedFaults faults(std::string(GetParam()) + "=n1");
-    ASSERT_TRUE(faults.status().ok());
-    Status crashed = mgr.Save(MakeState(2, 222, {"two", "extra"}));
-    EXPECT_FALSE(crashed.ok());
-    EXPECT_NE(crashed.ToString().find(GetParam()), std::string::npos)
-        << crashed.ToString();
-  }
-
-  // The interrupted Save must not have damaged the previous checkpoint.
-  auto loaded = mgr.LoadLatest();
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().next_op_index, 1u);
-  EXPECT_EQ(loaded.value().pipeline_key, 111u);
-  EXPECT_EQ(loaded.value().dataset.NumRows(), 1u);
-
-  // And a retried Save (fault cleared) wins cleanly.
-  ASSERT_TRUE(mgr.Save(MakeState(2, 222, {"two", "extra"})).ok());
-  auto retried = mgr.LoadLatest();
-  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
-  EXPECT_EQ(retried.value().next_op_index, 2u);
-  EXPECT_EQ(retried.value().dataset.NumRows(), 2u);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllCrashWindows, CheckpointCrashTest,
-                         ::testing::Values("ckpt.blob_write",
-                                           "ckpt.after_blob",
-                                           "ckpt.manifest_write"),
-                         [](const ::testing::TestParamInfo<const char*>& i) {
-                           std::string name = i.param;
-                           for (char& c : name) {
-                             if (c == '.') c = '_';
-                           }
-                           return name;
-                         });
-
-TEST(CheckpointCorruptionTest, TruncatedBlobIsRejectedWithClearError) {
-  std::string dir = TempDir("torn_blob");
-  core::CheckpointManager mgr(dir);
-  ASSERT_TRUE(mgr.Save(MakeState(3, 42, {"alpha", "beta", "gamma"})).ok());
-
-  // Tear the blob behind the manifest's back.
-  std::string blob_path;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".djds") {
-      blob_path = entry.path().string();
-    }
-  }
-  ASSERT_FALSE(blob_path.empty());
-  auto bytes = data::ReadFile(blob_path);
-  ASSERT_TRUE(bytes.ok());
-  ASSERT_TRUE(data::WriteFile(blob_path, std::string_view(bytes.value())
-                                             .substr(0, bytes.value().size() / 2))
-                  .ok());
-
-  auto loaded = mgr.LoadLatest();
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(loaded.status().ToString().find("checksum"), std::string::npos)
-      << loaded.status().ToString();
-}
-
-TEST(CheckpointCorruptionTest, FlippedBlobByteIsRejected) {
-  std::string dir = TempDir("flipped_blob");
-  core::CheckpointManager mgr(dir);
-  ASSERT_TRUE(mgr.Save(MakeState(1, 9, {"payload row"})).ok());
-
-  std::string blob_path;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".djds") {
-      blob_path = entry.path().string();
-    }
-  }
-  ASSERT_FALSE(blob_path.empty());
-  auto bytes = data::ReadFile(blob_path);
-  ASSERT_TRUE(bytes.ok());
-  std::string mutated = bytes.value();
-  mutated[mutated.size() / 2] ^= 0x01;
-  ASSERT_TRUE(data::WriteFile(blob_path, mutated).ok());
-
-  auto loaded = mgr.LoadLatest();
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-}
-
-TEST(CheckpointCorruptionTest, TornManifestIsRejected) {
-  std::string dir = TempDir("torn_manifest");
-  core::CheckpointManager mgr(dir);
-  ASSERT_TRUE(mgr.Save(MakeState(1, 9, {"row"})).ok());
-  auto manifest = data::ReadFile(dir + "/checkpoint.json");
-  ASSERT_TRUE(manifest.ok());
-  ASSERT_TRUE(
-      data::WriteFile(dir + "/checkpoint.json",
-                      std::string_view(manifest.value())
-                          .substr(0, manifest.value().size() / 2))
-          .ok());
-
-  auto loaded = mgr.LoadLatest();
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(loaded.status().ToString().find("torn"), std::string::npos);
-}
-
-TEST(CheckpointCorruptionTest, IncompleteOrOldManifestsAreRejected) {
-  // Only a schema-2 manifest that names its blob and carries the blob's
-  // size, checksum and row count loads; anything less restarts the run.
-  struct Case {
-    const char* name;
-    const char* drop;  // field removed from a valid manifest, or nullptr
-    int64_t schema;
-  };
-  for (const Case& c : {Case{"no_checksum", "blob_checksum", 2},
-                        Case{"no_blob_file", "blob_file", 2},
-                        Case{"schema_1", nullptr, 1},
-                        Case{"schema_3", nullptr, 3}}) {
-    std::string dir = TempDir(std::string("manifest_") + c.name);
-    core::CheckpointManager mgr(dir);
-    ASSERT_TRUE(mgr.Save(MakeState(2, 77, {"old", "format"})).ok());
-    ASSERT_TRUE(mgr.LoadLatest().ok());
-    auto manifest = json::ParseStrict(
-        data::ReadFile(dir + "/checkpoint.json").value());
-    ASSERT_TRUE(manifest.ok());
-    json::Object edited = manifest.value().as_object();
-    if (c.drop != nullptr) {
-      ASSERT_TRUE(edited.Erase(c.drop));
-    }
-    edited.Set("schema", json::Value(c.schema));
-    ASSERT_TRUE(data::WriteFile(dir + "/checkpoint.json",
-                                json::Write(json::Value(std::move(edited))))
-                    .ok());
-
-    auto loaded = mgr.LoadLatest();
-    ASSERT_FALSE(loaded.ok()) << c.name;
-    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << c.name;
-    EXPECT_NE(loaded.status().message().find("schema-2"), std::string::npos)
-        << loaded.status().ToString();
-  }
-}
-
 // ------------------------------------------------------- crash matrix ----
 
 std::vector<std::string> RecipePaths() {
@@ -464,6 +308,320 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// ---------------------------------------------------- the state store ----
+
+// Cache and checkpoint entries live in one kind of store (core::CacheManager)
+// keyed by the config-hash chain. These run one shipped recipe with fusion
+// and reordering off, so plan unit i is OP i and the chain is easy to rebuild.
+
+using Ops = std::vector<std::unique_ptr<ops::Op>>;
+
+constexpr const char* kStoreSource = "store-corpus";
+
+Ops GeneralEnOps() {
+  auto recipe = core::Recipe::FromFile(
+      (fs::path(DJ_REPO_DIR) / "configs" / "recipes" / "pretrain_general_en.yaml")
+          .string());
+  EXPECT_TRUE(recipe.ok()) << recipe.status().ToString();
+  auto ops = core::BuildOps(recipe.value(), ops::OpRegistry::Global());
+  EXPECT_TRUE(ops.ok()) << ops.status().ToString();
+  return ops.ok() ? std::move(ops).value() : Ops{};
+}
+
+// keys[i] names the state entering unit i, as the executor computes it.
+std::vector<uint64_t> KeyChain(const Ops& ops) {
+  std::vector<uint64_t> keys{core::CacheManager::InitialKey(kStoreSource)};
+  for (const auto& op : ops) {
+    keys.push_back(
+        core::CacheManager::ExtendKey(keys.back(), op->name(), op->config()));
+  }
+  return keys;
+}
+
+std::string EntryName(uint64_t key, const char* ext) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(key));
+  return buf + std::string(ext);
+}
+
+std::vector<std::string> Sorted(std::vector<std::string> names) {
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::vector<std::string> FilesIn(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    out.push_back(entry.path().filename().string());
+  }
+  return Sorted(std::move(out));
+}
+
+core::Executor::Options StoreOptions() {
+  core::Executor::Options o;
+  o.dataset_source_id = kStoreSource;
+  return o;
+}
+
+core::Executor::Options CheckpointOptions(const std::string& dir) {
+  core::Executor::Options o = StoreOptions();
+  o.use_checkpoint = true;
+  o.checkpoint_dir = dir;
+  return o;
+}
+
+// The run's output bytes ("" on failure, which the test also reports).
+std::string RunBytes(core::Executor::Options opts, const Ops& ops,
+                     core::RunReport* report = nullptr) {
+  auto out = core::Executor(std::move(opts)).Run(SmallCorpus(), ops, report);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  return out.ok() ? data::SerializeDataset(out.value(), nullptr, 1) : "";
+}
+
+enum class Damage { kTruncate, kFlipByte };
+
+// Damages a stored file the way a torn write or a bad sector would.
+void DamageFile(const std::string& path, Damage damage) {
+  auto bytes = data::ReadFile(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  std::string b = std::move(bytes).value();
+  if (damage == Damage::kTruncate) {
+    b.resize(b.size() / 2);
+  } else {
+    b[b.size() / 2] ^= 0x01;
+  }
+  ASSERT_TRUE(data::WriteFile(path, b).ok());
+}
+
+uint64_t CounterValue(const obs::MetricsRegistry& metrics, const char* name) {
+  const obs::Counter* c = metrics.FindCounter(name);
+  return c == nullptr ? 0 : c->value();
+}
+
+// The two crash windows of a checkpoint store write: a torn temp file, and
+// a crash after the new entry lands but before the older ones are evicted.
+class StoreCrashTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(StoreCrashTest, CrashLeavesPreviousEntryLoadable) {
+  std::string dir = TempDir(std::string("crash_") + GetParam());
+  core::CacheManager store(dir, /*compression=*/false);
+  ASSERT_TRUE(store.StoreLatest(111, data::Dataset::FromTexts({"one"})).ok());
+
+  const data::Dataset two = data::Dataset::FromTexts({"two", "extra"});
+  {
+    ScopedFaults faults(std::string(GetParam()) + "=n1");
+    ASSERT_TRUE(faults.status().ok());
+    Status crashed = store.StoreLatest(222, two);
+    EXPECT_FALSE(crashed.ok());
+    EXPECT_NE(crashed.ToString().find(GetParam()), std::string::npos)
+        << crashed.ToString();
+  }
+
+  // The interrupted write must not have damaged the previous entry.
+  auto loaded = store.Load(111);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().NumRows(), 1u);
+
+  // A retried write wins cleanly and leaves only itself.
+  ASSERT_TRUE(store.StoreLatest(222, two).ok());
+  EXPECT_EQ(FilesIn(dir),
+            std::vector<std::string>{EntryName(222, ".djds")});
+  auto retried = store.Load(222);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(retried.value().NumRows(), 2u);
+}
+
+TEST_P(StoreCrashTest, ResumeAfterCrashInWindowIsByteIdentical) {
+  const bool torn = std::string(GetParam()) == "store.torn_write";
+  Ops ops = GeneralEnOps();
+  ASSERT_GE(ops.size(), 4u);
+  const std::vector<uint64_t> keys = KeyChain(ops);
+  const std::string want = RunBytes(StoreOptions(), ops);
+
+  // The third save (of the state entering unit 3) crashes in the window,
+  // then the run is killed before unit 3.
+  std::string dir = TempDir(std::string("window_") + GetParam());
+  core::Executor::Options opts = CheckpointOptions(dir);
+  opts.faults = std::string(GetParam()) + "=n3;exec.op_abort=n4";
+  auto crashed = core::Executor(opts).Run(SmallCorpus(), ops);
+  FaultRegistry::Global().Reset();
+  ASSERT_EQ(crashed.status().code(), StatusCode::kAborted)
+      << crashed.status().ToString();
+  EXPECT_EQ(FilesIn(dir),
+            Sorted({EntryName(keys[2], ".djds"),
+                    EntryName(keys[3], torn ? ".djds.tmp" : ".djds")}));
+
+  // The resume scan takes the deepest complete entry.
+  core::RunReport report;
+  EXPECT_EQ(RunBytes(CheckpointOptions(dir), ops, &report), want);
+  EXPECT_TRUE(report.resumed_from_checkpoint);
+  EXPECT_EQ(report.op_reports.size(), ops.size() - (torn ? 2 : 3));
+  EXPECT_EQ(FilesIn(dir),
+            std::vector<std::string>{EntryName(keys.back(), ".djds")});
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCrashWindows, StoreCrashTest,
+                         ::testing::Values("store.torn_write",
+                                           "store.before_evict"),
+                         [](const ::testing::TestParamInfo<const char*>& i) {
+                           std::string name = i.param;
+                           for (char& c : name) {
+                             if (c == '.') c = '_';
+                           }
+                           return name;
+                         });
+
+TEST(StoreCorruptionTest, DamagedEntryFailsLoadWithCorruption) {
+  for (bool compression : {false, true}) {
+    for (Damage damage : {Damage::kTruncate, Damage::kFlipByte}) {
+      std::string dir = TempDir("damaged_entry");
+      core::CacheManager store(dir, compression);
+      ASSERT_TRUE(
+          store.Store(42, data::Dataset::FromTexts({"alpha", "beta", "gamma"}))
+              .ok());
+      DamageFile(dir + "/" + EntryName(42, compression ? ".djds.djlz"
+                                                        : ".djds"),
+                 damage);
+      auto loaded = store.Load(42);
+      ASSERT_FALSE(loaded.ok()) << "compression " << compression;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+          << loaded.status().ToString();
+    }
+  }
+}
+
+TEST(StoreCorruptionTest, ExecutorFallsBackToShallowerCacheEntry) {
+  Ops ops = GeneralEnOps();
+  const std::vector<uint64_t> keys = KeyChain(ops);
+  const std::string want = RunBytes(StoreOptions(), ops);
+  for (bool compression : {false, true}) {
+    for (Damage damage : {Damage::kTruncate, Damage::kFlipByte}) {
+      std::string dir = TempDir("cache_fallback");
+      core::Executor::Options opts = StoreOptions();
+      opts.use_cache = true;
+      opts.cache_dir = dir;
+      opts.cache_compression = compression;
+      ASSERT_EQ(RunBytes(opts, ops), want);
+      DamageFile(dir + "/" + EntryName(keys.back(), compression ? ".djds.djlz"
+                                                                : ".djds"),
+                 damage);
+
+      obs::MetricsRegistry metrics;
+      opts.metrics = &metrics;
+      core::RunReport report;
+      EXPECT_EQ(RunBytes(opts, ops, &report), want);
+      EXPECT_EQ(report.cache_hits, ops.size() - 1);
+      EXPECT_EQ(CounterValue(metrics, "cache.load_rejected"), 1u);
+    }
+  }
+}
+
+TEST(StoreCorruptionTest, DamagedCheckpointRestartsFresh) {
+  Ops ops = GeneralEnOps();
+  const std::vector<uint64_t> keys = KeyChain(ops);
+  const std::string want = RunBytes(StoreOptions(), ops);
+  for (Damage damage : {Damage::kTruncate, Damage::kFlipByte}) {
+    std::string dir = TempDir("ckpt_fresh");
+    ASSERT_EQ(RunBytes(CheckpointOptions(dir), ops), want);
+    const std::string entry = EntryName(keys.back(), ".djds");
+    ASSERT_EQ(FilesIn(dir), std::vector<std::string>{entry});
+    DamageFile(dir + "/" + entry, damage);
+
+    obs::MetricsRegistry metrics;
+    core::Executor::Options opts = CheckpointOptions(dir);
+    opts.metrics = &metrics;
+    core::RunReport report;
+    EXPECT_EQ(RunBytes(opts, ops, &report), want);
+    EXPECT_FALSE(report.resumed_from_checkpoint);
+    EXPECT_EQ(report.op_reports.size(), ops.size());
+    EXPECT_EQ(CounterValue(metrics, "checkpoint.load_rejected"), 1u);
+    EXPECT_EQ(FilesIn(dir), std::vector<std::string>{entry});
+  }
+}
+
+TEST(CheckpointStoreTest, HoldsAtMostOneEntryAfterEverySave) {
+  // Killing the run at boundary b leaves what the first b-1 saves left:
+  // exactly the newest state.
+  Ops ops = GeneralEnOps();
+  const std::vector<uint64_t> keys = KeyChain(ops);
+  for (size_t b = 1; b <= ops.size() + 1; ++b) {
+    std::string dir = TempDir("one_entry");
+    core::Executor::Options opts = CheckpointOptions(dir);
+    opts.faults = "exec.op_abort=n" + std::to_string(b);
+    auto run = core::Executor(opts).Run(SmallCorpus(), ops);
+    FaultRegistry::Global().Reset();
+    EXPECT_EQ(run.ok(), b == ops.size() + 1) << "boundary " << b;
+    const std::vector<std::string> want =
+        b == 1 ? std::vector<std::string>{}
+               : std::vector<std::string>{EntryName(keys[b - 1], ".djds")};
+    EXPECT_EQ(FilesIn(dir), want) << "boundary " << b;
+  }
+}
+
+TEST(CheckpointStoreTest, SharedWithCacheLosesNoCacheEntry) {
+  Ops ops = GeneralEnOps();
+  const std::vector<uint64_t> keys = KeyChain(ops);
+  const std::string want = RunBytes(StoreOptions(), ops);
+  std::vector<std::string> every_entry;
+  for (size_t i = 1; i < keys.size(); ++i) {
+    every_entry.push_back(EntryName(keys[i], ".djds.djlz"));
+  }
+  every_entry = Sorted(std::move(every_entry));
+
+  // The trailing '/' still names the cache directory.
+  std::string dir = TempDir("shared");
+  core::Executor::Options opts = CheckpointOptions(dir + "/");
+  opts.use_cache = true;
+  opts.cache_dir = dir;
+  opts.cache_compression = true;
+  ASSERT_EQ(RunBytes(opts, ops), want);
+  EXPECT_EQ(FilesIn(dir), every_entry);
+
+  core::RunReport report;
+  EXPECT_EQ(RunBytes(opts, ops, &report), want);
+  EXPECT_TRUE(report.resumed_from_checkpoint);
+  EXPECT_TRUE(report.op_reports.empty());
+  EXPECT_EQ(FilesIn(dir), every_entry);
+}
+
+TEST(CheckpointStoreTest, OlderBuildLayoutStartsFresh) {
+  // Older builds kept a checkpoint.json manifest naming a
+  // checkpoint-<key>.djds blob. Neither is an entry: the run starts fresh
+  // and leaves both files alone.
+  Ops ops = GeneralEnOps();
+  const std::vector<uint64_t> keys = KeyChain(ops);
+  const std::string want = RunBytes(StoreOptions(), ops);
+  std::string fresh = TempDir("layout_fresh");
+  ASSERT_EQ(RunBytes(CheckpointOptions(fresh), ops), want);
+  auto blob = data::ReadFile(fresh + "/" + EntryName(keys.back(), ".djds"));
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+
+  std::string dir = TempDir("layout_old");
+  const std::string old_blob = "checkpoint-" + EntryName(keys.back(), ".djds");
+  json::Object manifest;
+  manifest.Set("schema", json::Value(static_cast<int64_t>(2)));
+  manifest.Set("next_op_index", json::Value(static_cast<int64_t>(ops.size())));
+  manifest.Set("pipeline_key",
+               json::Value(static_cast<int64_t>(keys.back())));
+  manifest.Set("blob_file", json::Value(old_blob));
+  manifest.Set("blob_bytes",
+               json::Value(static_cast<int64_t>(blob.value().size())));
+  manifest.Set("blob_checksum",
+               json::Value(static_cast<int64_t>(Fnv1a64(blob.value()))));
+  ASSERT_TRUE(data::WriteFile(dir + "/checkpoint.json",
+                              json::Write(json::Value(std::move(manifest))))
+                  .ok());
+  ASSERT_TRUE(data::WriteFile(dir + "/" + old_blob, blob.value()).ok());
+
+  core::RunReport report;
+  EXPECT_EQ(RunBytes(CheckpointOptions(dir), ops, &report), want);
+  EXPECT_FALSE(report.resumed_from_checkpoint);
+  EXPECT_EQ(report.op_reports.size(), ops.size());
+  EXPECT_EQ(FilesIn(dir), Sorted({EntryName(keys.back(), ".djds"), old_blob,
+                                  "checkpoint.json"}));
+}
 
 // Seed-deterministic probabilistic kills at the executor level: the same
 // DJ_FAULTS-style spec must abort at the same unit across runs.

@@ -320,8 +320,8 @@ cmake --build "${tsan_dir}" -j --target \
 "${tsan_dir}/tests/compress_test"
 "${tsan_dir}/tests/ops_dedup_test"
 # The full crash matrix is slow under TSan; run the registry/determinism/
-# checkpoint suites plus one representative recipe matrix.
-"${tsan_dir}/tests/fault_test" --gtest_filter="FaultRegistryTest.*:FaultDeterminismTest.*:FaultObsTest.*:AllCrashWindows/*:CheckpointCorruptionTest.*:*CrashMatrixTest*minimal_dedup*"
+# state-store suites plus one representative recipe matrix.
+"${tsan_dir}/tests/fault_test" --gtest_filter="FaultRegistryTest.*:FaultDeterminismTest.*:FaultObsTest.*:AllCrashWindows/StoreCrashTest.*:StoreCorruptionTest.*:CheckpointStoreTest.*:*CrashMatrixTest*minimal_dedup*"
 
 echo "== TSan under schedule perturbation (3 seeds) =="
 # Seeded yield/sleep probes at lock boundaries, pool dispatch, and gather

@@ -14,9 +14,10 @@
 // The recipe is linted before any data is touched; lint errors abort the
 // run unless --no-verify is given.
 //
-// --checkpoint-dir enables per-OP checkpointing; --resume (requires
-// --checkpoint-dir) continues from the latest valid checkpoint whose
-// pipeline key matches the optimized plan, re-running only the suffix.
+// --checkpoint-dir enables per-OP checkpointing: the directory keeps the
+// newest state, keyed like a cache entry. --resume (requires
+// --checkpoint-dir) continues from it when its key is on the optimized
+// plan, re-running only the suffix.
 // --faults arms fail points (same syntax as the DJ_FAULTS env var, e.g.
 // "seed=7;exec.op_abort=n2;io.write.short=p0.1"); the env var is applied
 // first, then the flag. On a faulted (failed) run the trace/metrics files
@@ -332,10 +333,14 @@ int main(int argc, char** argv) {
   if (!args.checkpoint_dir.empty()) {
     options.use_checkpoint = true;
     options.checkpoint_dir = args.checkpoint_dir;
-    if (!args.resume) {
-      // A fresh checkpointed run must not silently continue from an older
-      // run's state; that is what --resume is for.
-      dj::core::CheckpointManager(args.checkpoint_dir).Clear();
+    // A fresh checkpointed run must not silently continue from an older
+    // run's state; that is what --resume is for. A checkpoint directory
+    // that is also the cache directory keeps its entries: they are the cache.
+    if (!args.resume &&
+        !(options.use_cache && dj::core::CacheManager::SameDir(
+                                   options.cache_dir, args.checkpoint_dir))) {
+      dj::core::CacheManager(args.checkpoint_dir, /*compression=*/false)
+          .Clear();
     }
   }
 
