@@ -2,10 +2,13 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "common/file_util.h"
 #include "common/hash.h"
 #include "common/string_util.h"
+#include "common/swar.h"
+#include "common/thread_pool.h"
 #include "compress/djlz.h"
 #include "data/io.h"
 #include "fault/fault.h"
@@ -32,10 +35,51 @@ bool IsEntryOrTempName(std::string_view name) {
   return IsEntryName(name);
 }
 
+/// What an older build's checkpoint store wrote: a "checkpoint.json"
+/// manifest naming a "checkpoint-<16 hex>.djds" blob, or the ".tmp" of
+/// either. No current key reaches them.
+bool IsOlderCheckpointName(std::string_view name) {
+  if (EndsWith(name, ".tmp")) name.remove_suffix(4);
+  return name == "checkpoint.json" ||
+         (StartsWith(name, "checkpoint-") &&
+          IsEntryName(name.substr(sizeof("checkpoint-") - 1)));
+}
+
+constexpr size_t kDigestBlock = size_t{1} << 20;
+
 }  // namespace
 
 uint64_t CacheManager::InitialKey(std::string_view source_id) {
   return Fnv1a64(source_id, 0xDA7A0CACE5ULL);
+}
+
+uint64_t CacheManager::InitialKey(std::string_view source_id,
+                                  std::string_view decoder,
+                                  uint64_t content_digest) {
+  return HashCombine(HashCombine(InitialKey(source_id), Fnv1a64(decoder)),
+                     content_digest);
+}
+
+uint64_t CacheManager::ContentDigest(std::string_view bytes,
+                                     ThreadPool* pool) {
+  // Fixed blocks make the digest independent of the worker count; the last
+  // slot holds the byte count.
+  const size_t blocks = (bytes.size() + kDigestBlock - 1) / kDigestBlock;
+  std::vector<uint64_t> digests(blocks + 1);
+  auto hash_blocks = [&](size_t begin, size_t end) {
+    for (size_t b = begin; b < end; ++b) {
+      std::string_view block = bytes.substr(b * kDigestBlock, kDigestBlock);
+      digests[b] = swar::Hash64(block.data(), block.size());
+    }
+  };
+  if (pool != nullptr && pool->num_threads() > 1 && blocks > 1) {
+    pool->ParallelFor(blocks, hash_blocks);
+  } else {
+    hash_blocks(0, blocks);
+  }
+  digests[blocks] = bytes.size();
+  return swar::Hash64(reinterpret_cast<const char*>(digests.data()),
+                      digests.size() * sizeof(uint64_t));
 }
 
 uint64_t CacheManager::ExtendKey(uint64_t key, std::string_view op_name,
@@ -125,7 +169,8 @@ Status CacheManager::StoreLatest(uint64_t key,
     return Status::IoError(
         "fault injected: store.before_evict (older entries not evicted)");
   }
-  RemoveEntriesExcept(fs::path(PathFor(key)).filename().string());
+  RemoveFiles(fs::path(PathFor(key)).filename().string(),
+              /*older_layout=*/false);
   return Status::Ok();
 }
 
@@ -134,17 +179,20 @@ void CacheManager::Evict(uint64_t key) const {
   fs::remove(PathFor(key), ec);
 }
 
-void CacheManager::RemoveEntriesExcept(const std::string& keep_name) const {
+void CacheManager::RemoveFiles(std::string_view keep_name,
+                               bool older_layout) const {
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
-    if (IsEntryOrTempName(name) && name != keep_name) {
+    if ((IsEntryOrTempName(name) ||
+         (older_layout && IsOlderCheckpointName(name))) &&
+        name != keep_name) {
       fs::remove(entry.path(), ec);
     }
   }
 }
 
-void CacheManager::Clear() const { RemoveEntriesExcept(""); }
+void CacheManager::Clear() const { RemoveFiles("", /*older_layout=*/true); }
 
 uint64_t CacheManager::TotalBytes() const {
   std::error_code ec;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "data/dataset.h"
@@ -13,10 +14,10 @@ namespace dj::core {
 
 /// Dataset state store keyed by a configuration hash (paper Sec. 5.1.1 and
 /// Sec. 7 "Caching OPs and Compression"). The key for OP i is the combined
-/// hash of the dataset source id and the effective configs of OPs 0..i, so
-/// any upstream parameter change invalidates downstream entries — this is
-/// the "dedicated and simple hashing method" that sidesteps serializing
-/// auxiliary models.
+/// hash of the input (see InitialKey) and the effective configs of OPs
+/// 0..i, so any upstream parameter change invalidates downstream entries —
+/// this is the "dedicated and simple hashing method" that sidesteps
+/// serializing auxiliary models.
 ///
 /// It serves both as the per-OP cache, which keeps every entry, and as the
 /// checkpoint store, which keeps only its newest one (StoreLatest): a
@@ -57,10 +58,24 @@ class CacheManager {
   static uint64_t ExtendKey(uint64_t key, std::string_view op_name,
                             const json::Value& effective_config);
 
-  /// Initial key: a hash of `source_id` alone. Executor::OptionsFromRecipe
-  /// passes the recipe's dataset_path, so an input edited in place keeps its
-  /// key and its stale entries (ROADMAP item 6: key by content).
+  /// Initial key of a dataset the caller decoded: a hash of `source_id`
+  /// alone, so the id must change whenever the rows do (a path does not:
+  /// an input edited in place would keep its stale entries).
   static uint64_t InitialKey(std::string_view source_id);
+
+  /// Initial key of an input read as raw bytes: `source_id` (the path,
+  /// which txt and code formatters write into meta.source), the name of
+  /// the decoder, and ContentDigest of the bytes. Editing the input in
+  /// place changes the key.
+  static uint64_t InitialKey(std::string_view source_id,
+                             std::string_view decoder,
+                             uint64_t content_digest);
+
+  /// swar::Hash64 over fixed 1 MiB blocks of `bytes` (on `pool` when
+  /// given), then Hash64 over the block digests and the byte count. The
+  /// value does not depend on the pool or its size.
+  static uint64_t ContentDigest(std::string_view bytes,
+                                ThreadPool* pool = nullptr);
 
   bool Contains(uint64_t key) const;
 
@@ -80,7 +95,9 @@ class CacheManager {
   /// Removes the entry for `key` if present.
   void Evict(uint64_t key) const;
 
-  /// Removes every entry and every leftover temp file in the directory.
+  /// Removes every entry and every leftover temp file in the directory,
+  /// and an older build's checkpoint files ("checkpoint.json",
+  /// "checkpoint-<key>.djds" and their temp files), which no key reaches.
   void Clear() const;
 
   /// Total bytes currently used by entries.
@@ -91,7 +108,9 @@ class CacheManager {
 
  private:
   std::string PathFor(uint64_t key) const;
-  void RemoveEntriesExcept(const std::string& keep_name) const;
+  /// Removes every entry and temp file but `keep_name`, and with
+  /// `older_layout` an older build's checkpoint files too.
+  void RemoveFiles(std::string_view keep_name, bool older_layout) const;
   void Bump(std::string_view counter, uint64_t delta = 1) const;
 
   std::string dir_;

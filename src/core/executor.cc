@@ -52,6 +52,27 @@ Result<std::vector<std::unique_ptr<ops::Op>>> BuildOps(
   return out;
 }
 
+std::vector<ops::Op*> OpPointers(
+    const std::vector<std::unique_ptr<ops::Op>>& ops) {
+  std::vector<ops::Op*> out;
+  out.reserve(ops.size());
+  for (const auto& op : ops) out.push_back(op.get());
+  return out;
+}
+
+RunInput RunInput::Decoded(data::Dataset dataset) {
+  RunInput input;
+  input.dataset = std::move(dataset);
+  return input;
+}
+
+RunInput RunInput::Encoded(std::string bytes, ops::DatasetDecoder decoder) {
+  RunInput input;
+  input.bytes = std::move(bytes);
+  input.decoder = std::move(decoder);
+  return input;
+}
+
 std::string RunReport::ToString() const {
   std::string out;
   char buf[240];
@@ -96,6 +117,14 @@ std::string RunReport::ToString() const {
                 total_seconds, rows_in, rows_out, cache_hits,
                 resumed_from_checkpoint ? ", resumed from checkpoint" : "");
   out += buf;
+  if (!input_decoded) {
+    std::snprintf(buf, sizeof(buf),
+                  "input not decoded: restored the state after %zu of %zu "
+                  "units from the %s\n",
+                  restored_units, plan_units,
+                  resumed_from_checkpoint ? "checkpoint" : "cache");
+    out += buf;
+  }
   if (unit_seconds_p50 >= 0) {
     std::snprintf(buf, sizeof(buf),
                   "unit seconds: p50 %.3f, p95 %.3f, p99 %.3f\n",
@@ -232,13 +261,16 @@ Status Executor::RunUnit(const PlanUnit& unit, data::Dataset* dataset,
 Result<data::Dataset> Executor::Run(
     data::Dataset dataset, const std::vector<std::unique_ptr<ops::Op>>& ops,
     RunReport* report) {
-  std::vector<ops::Op*> raw;
-  raw.reserve(ops.size());
-  for (const auto& op : ops) raw.push_back(op.get());
-  return Run(std::move(dataset), raw, report);
+  return Run(RunInput::Decoded(std::move(dataset)), OpPointers(ops), report);
 }
 
 Result<data::Dataset> Executor::Run(data::Dataset dataset,
+                                    const std::vector<ops::Op*>& ops,
+                                    RunReport* report) {
+  return Run(RunInput::Decoded(std::move(dataset)), ops, report);
+}
+
+Result<data::Dataset> Executor::Run(RunInput input,
                                     const std::vector<ops::Op*>& ops,
                                     RunReport* report) {
   obs::Span run_span(options_.spans, "executor.run", "executor");
@@ -257,7 +289,12 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
   RunReport local_report;
   RunReport* rep = report != nullptr ? report : &local_report;
   rep->op_reports.clear();
-  rep->rows_in = dataset.NumRows();
+  const bool encoded = !input.dataset.has_value();
+  data::Dataset dataset;
+  if (!encoded) {
+    dataset = std::move(*input.dataset);
+    rep->rows_in = dataset.NumRows();
+  }
 
   FusionOptions fusion_options{options_.op_fusion, options_.op_reorder};
   std::vector<PlanUnit> plan = PlanFusion(ops, fusion_options);
@@ -294,23 +331,6 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
     }
   }
 
-  // Cumulative config-hash keys: key_before[i] identifies the pipeline state
-  // entering unit i; key_after[i] the state after it.
-  std::vector<uint64_t> key_before(plan.size() + 1);
-  key_before[0] = CacheManager::InitialKey(options_.dataset_source_id);
-  for (size_t i = 0; i < plan.size(); ++i) {
-    uint64_t key = key_before[i];
-    if (plan[i].is_fused()) {
-      for (const ops::Filter* f : plan[i].fused) {
-        key = CacheManager::ExtendKey(key, f->name(), f->config());
-      }
-    } else {
-      key = CacheManager::ExtendKey(key, plan[i].op->name(),
-                                    plan[i].op->config());
-    }
-    key_before[i + 1] = key;
-  }
-
   // The worker pool is created up front so the cache/checkpoint codecs can
   // shard their (de)serialization across it too, not just the OP loop.
   std::optional<ThreadPool> pool;
@@ -342,6 +362,31 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
       checkpoints->SetPool(pool_ptr);
       checkpoint_store = &*checkpoints;
     }
+  }
+
+  // Cumulative config-hash keys: key_before[i] identifies the pipeline state
+  // entering unit i; key_after[i] the state after it. Raw input bytes are
+  // keyed by their content, digested only when a store can use the key.
+  rep->plan_units = plan.size();
+  std::vector<uint64_t> key_before(plan.size() + 1);
+  key_before[0] = CacheManager::InitialKey(options_.dataset_source_id);
+  if (encoded && (cache.has_value() || checkpoint_store != nullptr)) {
+    obs::Span digest_span(options_.spans, "input.digest", "executor");
+    key_before[0] = CacheManager::InitialKey(
+        options_.dataset_source_id, input.decoder.name,
+        CacheManager::ContentDigest(input.bytes, pool_ptr));
+  }
+  for (size_t i = 0; i < plan.size(); ++i) {
+    uint64_t key = key_before[i];
+    if (plan[i].is_fused()) {
+      for (const ops::Filter* f : plan[i].fused) {
+        key = CacheManager::ExtendKey(key, f->name(), f->config());
+      }
+    } else {
+      key = CacheManager::ExtendKey(key, plan[i].op->name(),
+                                    plan[i].op->config());
+    }
+    key_before[i + 1] = key;
   }
 
   // Resume scan: from the last unit down, the deepest key_before[i] in the
@@ -398,6 +443,16 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
         start_unit = i;
       }
     }
+  }
+  rep->restored_units = start_unit;
+  rep->input_decoded = !encoded || start_unit == 0;
+  if (encoded) {
+    if (start_unit == 0) {
+      obs::Span decode_span(options_.spans, "input.decode", "executor");
+      DJ_ASSIGN_OR_RETURN(dataset, input.decoder.decode(input.bytes, pool_ptr));
+    }
+    std::string().swap(input.bytes);
+    rep->rows_in = dataset.NumRows();
   }
 
   for (size_t i = start_unit; i < plan.size(); ++i) {

@@ -2,6 +2,7 @@
 #define DJ_CORE_EXECUTOR_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "data/dataset.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "ops/formatters/formatters.h"
 #include "ops/registry.h"
 
 namespace dj::core {
@@ -20,6 +22,26 @@ namespace dj::core {
 /// Instantiates the recipe's OP list from the registry.
 Result<std::vector<std::unique_ptr<ops::Op>>> BuildOps(
     const Recipe& recipe, const ops::OpRegistry& registry);
+
+/// The borrowed pointers of an owned OP list.
+std::vector<ops::Op*> OpPointers(
+    const std::vector<std::unique_ptr<ops::Op>>& ops);
+
+/// What Executor::Run starts from: a dataset that is already decoded, or
+/// the raw bytes of an input file with the decoder its path selects. Run
+/// decodes the bytes only when no checkpoint or cache entry restores, so a
+/// warm rerun never parses its input, and it frees them before any OP runs.
+struct RunInput {
+  /// An in-memory dataset, keyed by Options::dataset_source_id alone.
+  static RunInput Decoded(data::Dataset dataset);
+  /// Raw bytes, keyed by Options::dataset_source_id, the decoder's name and
+  /// a digest of the bytes (CacheManager::InitialKey).
+  static RunInput Encoded(std::string bytes, ops::DatasetDecoder decoder);
+
+  std::optional<data::Dataset> dataset;
+  std::string bytes;
+  ops::DatasetDecoder decoder;
+};
 
 /// Per-OP execution record (feeds reports, benches, and the Tracer summary).
 struct OpReport {
@@ -44,6 +66,14 @@ struct RunReport {
   size_t rows_out = 0;
   size_t cache_hits = 0;
   bool resumed_from_checkpoint = false;
+  /// The resume scan restored the state after `restored_units` of the
+  /// `plan_units` units (0 = nothing restored).
+  size_t restored_units = 0;
+  size_t plan_units = 0;
+  /// False when Run was given raw bytes and a stored state restored, so the
+  /// bytes were never decoded; rows_in then counts the restored rows, as
+  /// the cache-hit op_reports do.
+  bool input_decoded = true;
   /// Plan verification outcome (core::VerifyPlan): how many effect-licensed
   /// order swaps the executed plan contains, and whether an unlicensed plan
   /// was refused (the executor then fell back to recipe order).
@@ -79,7 +109,10 @@ class Executor {
     bool use_cache = false;
     std::string cache_dir;
     bool cache_compression = false;
-    /// Stable id of the input dataset for cache keys (e.g. its path).
+    /// Id of the input in the initial cache key. A RunInput::Encoded input
+    /// adds its decoder and a digest of its bytes, so its id is the path.
+    /// A decoded dataset is keyed by this id alone: it must change
+    /// whenever the rows do, or a stored state of other rows restores.
     std::string dataset_source_id = "in-memory";
 
     /// Checkpoints go to a CacheManager on `checkpoint_dir` that keeps only
@@ -135,6 +168,10 @@ class Executor {
   /// Raw-pointer overload for borrowed OP subranges.
   Result<data::Dataset> Run(data::Dataset dataset,
                             const std::vector<ops::Op*>& ops,
+                            RunReport* report = nullptr);
+
+  /// Runs `ops` over `input`, decoding it only if no stored state restores.
+  Result<data::Dataset> Run(RunInput input, const std::vector<ops::Op*>& ops,
                             RunReport* report = nullptr);
 
  private:

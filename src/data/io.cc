@@ -922,21 +922,34 @@ Status ExportDataset(const Dataset& dataset, const std::string& path,
       "' (use .jsonl, .djds, or .djds.djlz)");
 }
 
-Result<Dataset> ImportDataset(const std::string& path, ThreadPool* pool) {
-  if (EndsWith(path, ".jsonl")) return ReadJsonl(path, pool);
+Result<Dataset> DecodeImport(std::string_view path, std::string_view bytes,
+                             ThreadPool* pool) {
+  if (EndsWith(path, ".jsonl")) {
+    auto rows = ParseJsonl(bytes, pool);
+    if (!rows.ok()) {
+      return Status::Corruption(std::string(path) + ": " +
+                                rows.status().message());
+    }
+    return rows;
+  }
   if (EndsWith(path, ".djds.djlz")) {
-    DJ_ASSIGN_OR_RETURN(std::string frame, ReadFile(path));
     DJ_ASSIGN_OR_RETURN(std::string blob,
-                        compress::DecompressFrame(frame, pool));
+                        compress::DecompressFrame(bytes, pool));
     return DeserializeDataset(blob, pool);
   }
-  if (EndsWith(path, ".djds")) {
-    DJ_ASSIGN_OR_RETURN(std::string blob, ReadFile(path));
-    return DeserializeDataset(blob, pool);
-  }
+  if (EndsWith(path, ".djds")) return DeserializeDataset(bytes, pool);
   return Status::InvalidArgument(
-      "unsupported import suffix for '" + path +
+      "unsupported import suffix for '" + std::string(path) +
       "' (use .jsonl, .djds, or .djds.djlz)");
+}
+
+Result<Dataset> ImportDataset(const std::string& path, ThreadPool* pool) {
+  if (!EndsWith(path, ".jsonl") && !EndsWith(path, ".djds") &&
+      !EndsWith(path, ".djds.djlz")) {
+    return DecodeImport(path, {}, pool);  // the unsupported-suffix error
+  }
+  DJ_ASSIGN_OR_RETURN(std::string bytes, ReadFile(path));
+  return DecodeImport(path, bytes, pool);
 }
 
 }  // namespace dj::data

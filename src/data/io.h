@@ -65,9 +65,15 @@ Result<json::Value> DeserializeValue(std::string_view bytes);
 Status ExportDataset(const Dataset& dataset, const std::string& path,
                      ThreadPool* pool = nullptr);
 
-/// Inverse of ExportDataset (same suffix dispatch).
+/// Inverse of ExportDataset (same suffix dispatch): ReadFile, then
+/// DecodeImport.
 Result<Dataset> ImportDataset(const std::string& path,
                               ThreadPool* pool = nullptr);
+
+/// The decode step of ImportDataset: `bytes` are the contents of a file
+/// named `path`, whose suffix picks the codec.
+Result<Dataset> DecodeImport(std::string_view path, std::string_view bytes,
+                             ThreadPool* pool = nullptr);
 
 }  // namespace dj::data
 

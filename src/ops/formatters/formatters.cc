@@ -220,32 +220,57 @@ Result<data::Dataset> CodeFormatter::LoadFromString(std::string_view content,
 
 // ---------------------------------------------------------- LoadDataset --
 
-Result<data::Dataset> LoadDataset(const std::string& path, ThreadPool* pool) {
+namespace {
+
+/// Decodes with a default-configured formatter F, which parses serially.
+/// `path` is the origin the formatter records (txt and code write it into
+/// meta.source).
+template <typename F>
+DatasetDecoder FormatterDecoder(const std::string& path) {
+  const json::Value empty_config{json::Object()};
+  return {F(empty_config).name(),
+          [path, empty_config](std::string_view bytes, ThreadPool*) {
+            return F(empty_config).LoadFromString(bytes, path);
+          }};
+}
+
+}  // namespace
+
+DatasetDecoder DecoderFor(const std::string& path) {
   // Binary containers bypass the formatter layer entirely (SuffixOf would
   // see only ".djlz" for the compound suffix).
   if (EndsWith(path, ".djds") || EndsWith(path, ".djds.djlz")) {
-    return data::ImportDataset(path, pool);
+    return {EndsWith(path, ".djds") ? "djds" : "djds.djlz",
+            [path](std::string_view bytes, ThreadPool* pool) {
+              return data::DecodeImport(path, bytes, pool);
+            }};
   }
   std::string suffix = SuffixOf(path);
-  json::Value empty_config{json::Object()};
   if (suffix == ".jsonl" || suffix == ".ndjson") {
-    return data::ReadJsonl(path, pool);
+    return {"jsonl", [path](std::string_view bytes, ThreadPool* pool)
+                         -> Result<data::Dataset> {
+              auto rows = data::ParseJsonl(bytes, pool);
+              if (!rows.ok()) {
+                return Status::Corruption(path + ": " +
+                                          rows.status().message());
+              }
+              return rows;
+            }};
   }
-  if (suffix == ".json") {
-    return JsonFormatter(empty_config).LoadFile(path);
-  }
+  if (suffix == ".json") return FormatterDecoder<JsonFormatter>(path);
   if (suffix == ".txt" || suffix == ".md" || suffix == ".html" ||
       suffix == ".tex" || suffix == "") {
-    return TxtFormatter(empty_config).LoadFile(path);
+    return FormatterDecoder<TxtFormatter>(path);
   }
-  if (suffix == ".csv") {
-    return CsvFormatter(empty_config).LoadFile(path);
-  }
-  if (suffix == ".tsv") {
-    return TsvFormatter(empty_config).LoadFile(path);
-  }
+  if (suffix == ".csv") return FormatterDecoder<CsvFormatter>(path);
+  if (suffix == ".tsv") return FormatterDecoder<TsvFormatter>(path);
   // Everything else is treated as source code.
-  return CodeFormatter(empty_config).LoadFile(path);
+  return FormatterDecoder<CodeFormatter>(path);
+}
+
+Result<data::Dataset> LoadDataset(const std::string& path, ThreadPool* pool) {
+  DJ_ASSIGN_OR_RETURN(std::string bytes, data::ReadFile(path));
+  return DecoderFor(path).decode(bytes, pool);
 }
 
 std::vector<OpSchema> FormatterSchemas() {

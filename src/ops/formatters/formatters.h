@@ -1,7 +1,9 @@
 #ifndef DJ_OPS_FORMATTERS_FORMATTERS_H_
 #define DJ_OPS_FORMATTERS_FORMATTERS_H_
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ops/op_base.h"
@@ -69,10 +71,25 @@ class CodeFormatter : public Formatter {
   std::vector<std::string> Tags() const override { return {"code"}; }
 };
 
+/// The decode step of loading one file: the codec its path selects, as a
+/// name and a function from the file's bytes to a dataset.
+struct DatasetDecoder {
+  /// "jsonl", "djds", "djds.djlz" or the formatter's name. The executor's
+  /// content key includes it: one byte string decodes differently per
+  /// format.
+  std::string name;
+  std::function<Result<data::Dataset>(std::string_view bytes,
+                                      ThreadPool* pool)>
+      decode;
+};
+
 /// Dispatches on the path suffix (.jsonl/.json/.txt/.md/.csv/.tsv/code
-/// suffixes, plus the binary .djds / .djds.djlz containers) and loads with
-/// the matching formatter — the unified loading entry point of paper
-/// Sec. 4.1. JSONL and binary containers parse/decode on `pool` when given.
+/// suffixes, plus the binary .djds / .djds.djlz containers) to the matching
+/// formatter — the unified loading entry point of paper Sec. 4.1. JSONL and
+/// binary containers parse/decode on `pool` when given.
+DatasetDecoder DecoderFor(const std::string& path);
+
+/// data::ReadFile, then DecoderFor(path).
 Result<data::Dataset> LoadDataset(const std::string& path,
                                   ThreadPool* pool = nullptr);
 

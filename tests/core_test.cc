@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 
 #include "common/hash.h"
@@ -17,6 +19,7 @@
 #include "json/writer.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "ops/formatters/formatters.h"
 #include "ops/registry.h"
 #include "workload/generator.h"
 
@@ -648,6 +651,205 @@ TEST(CacheManagerTest, TornStoreKeepsPreviousEntry) {
     cache.Clear();
     EXPECT_TRUE(fs::is_empty(dir)) << dir;
   }
+}
+
+// ------------------------------------------------------ encoded input ----
+
+// The tests above hand Run a decoded dataset. dj_process hands it the raw
+// bytes of its input file instead, keyed by their content and decoded only
+// when no stored state restores.
+
+std::string WriteNoisyJsonl(const std::string& dir) {
+  std::string path = dir + "/in.jsonl";
+  EXPECT_TRUE(data::WriteJsonl(NoisyCorpus(), path).ok());
+  return path;
+}
+
+// The file at `path` as dj_process passes it to Run; `decodes` counts the
+// decoder's calls.
+RunInput EncodedInput(const std::string& path, int* decodes) {
+  auto bytes = data::ReadFile(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  ops::DatasetDecoder decoder = ops::DecoderFor(path);
+  decoder.decode = [inner = decoder.decode, decodes](std::string_view b,
+                                                     ThreadPool* pool) {
+    ++*decodes;
+    return inner(b, pool);
+  };
+  return RunInput::Encoded(bytes.ok() ? std::move(bytes).value() : "",
+                           std::move(decoder));
+}
+
+// keys[i] names the state entering unit i of an unfused plan over the file
+// at `path`, as Run computes it.
+std::vector<uint64_t> EncodedKeyChain(
+    const std::string& path, const std::vector<std::unique_ptr<ops::Op>>& ops) {
+  auto bytes = data::ReadFile(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  std::vector<uint64_t> keys{CacheManager::InitialKey(
+      path, ops::DecoderFor(path).name,
+      CacheManager::ContentDigest(bytes.ok() ? bytes.value() : ""))};
+  for (const auto& op : ops) {
+    keys.push_back(CacheManager::ExtendKey(keys.back(), op->name(),
+                                           op->config()));
+  }
+  return keys;
+}
+
+std::string EntryPath(const std::string& dir, uint64_t key) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx.djds",
+                static_cast<unsigned long long>(key));
+  return dir + "/" + buf;
+}
+
+void FlipMiddleByte(const std::string& path) {
+  auto bytes = data::ReadFile(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  std::string b = std::move(bytes).value();
+  b[b.size() / 2] ^= 0x01;
+  ASSERT_TRUE(data::WriteFile(path, b).ok());
+}
+
+std::string DatasetBytes(const Result<data::Dataset>& ds) {
+  EXPECT_TRUE(ds.ok()) << ds.status().ToString();
+  return ds.ok() ? data::SerializeDataset(ds.value(), nullptr, 1) : "";
+}
+
+TEST(CacheManagerTest, ContentDigestIsIndependentOfWorkers) {
+  constexpr size_t kMiB = size_t{1} << 20;
+  ThreadPool one(1);
+  ThreadPool four(4);
+  std::vector<uint64_t> digests;
+  for (size_t n : {size_t{0}, size_t{1}, kMiB - 1, kMiB, kMiB + 1,
+                   3 * kMiB + 7}) {
+    std::string bytes(n, '\0');
+    for (size_t i = 0; i < n; ++i) bytes[i] = static_cast<char>(i * 131);
+    const uint64_t serial = CacheManager::ContentDigest(bytes);
+    EXPECT_EQ(CacheManager::ContentDigest(bytes, &one), serial) << n;
+    EXPECT_EQ(CacheManager::ContentDigest(bytes, &four), serial) << n;
+    if (n > 0) {
+      bytes[n - 1] ^= 0x01;
+      EXPECT_NE(CacheManager::ContentDigest(bytes, &four), serial) << n;
+    }
+    digests.push_back(serial);
+  }
+  std::sort(digests.begin(), digests.end());
+  EXPECT_EQ(std::unique(digests.begin(), digests.end()), digests.end());
+}
+
+TEST(ExecutorTest, WarmRunsNeverDecodeTheInput) {
+  std::string dir = TempDir("encoded_warm");
+  const std::string path = WriteNoisyJsonl(dir);
+  Executor::Options options;
+  options.use_cache = true;
+  options.cache_dir = dir + "/cache";
+  options.dataset_source_id = path;
+  auto run = [&](const std::vector<std::unique_ptr<ops::Op>>& ops,
+                 int* decodes, RunReport* report) {
+    return DatasetBytes(Executor(options).Run(EncodedInput(path, decodes),
+                                              OpPointers(ops), report));
+  };
+  auto fresh = [&](const std::vector<std::unique_ptr<ops::Op>>& ops) {
+    auto input = ops::LoadDataset(path);
+    EXPECT_TRUE(input.ok()) << input.status().ToString();
+    return DatasetBytes(
+        Executor(Executor::Options{}).Run(std::move(input).value(), ops));
+  };
+  // One more unit than a run of the fourteen stores.
+  auto fifteen_op_pipeline = [] {
+    auto ops = FourteenOpPipeline();
+    for (auto& op :
+         MustBuildOps(MustRecipe("process:\n  - lower_case_mapper:\n"))) {
+      ops.push_back(std::move(op));
+    }
+    return ops;
+  };
+  const size_t fourteen = FourteenOpPipeline().size();
+  const std::string want14 = fresh(FourteenOpPipeline());
+  const std::string want15 = fresh(fifteen_op_pipeline());
+
+  obs::MetricsRegistry cold_io;
+  obs::InstallGlobalMetrics(&cold_io);
+  int decodes = 0;
+  RunReport cold;
+  EXPECT_EQ(run(FourteenOpPipeline(), &decodes, &cold), want14);
+  EXPECT_EQ(decodes, 1);
+  EXPECT_TRUE(cold.input_decoded);
+  EXPECT_NE(cold_io.FindCounter("io.parse.rows"), nullptr);
+
+  // Full hit: the state after every unit loads, the bytes are not parsed,
+  // and rows_in counts the restored rows.
+  obs::MetricsRegistry warm_io;
+  obs::InstallGlobalMetrics(&warm_io);
+  decodes = 0;
+  RunReport warm;
+  EXPECT_EQ(run(FourteenOpPipeline(), &decodes, &warm), want14);
+  EXPECT_EQ(decodes, 0);
+  EXPECT_FALSE(warm.input_decoded);
+  EXPECT_EQ(warm.restored_units, fourteen);
+  EXPECT_EQ(warm.cache_hits, fourteen);
+  EXPECT_EQ(warm.rows_in, warm.rows_out);
+  EXPECT_EQ(warm_io.FindCounter("io.parse.rows"), nullptr);
+  EXPECT_NE(warm.ToString().find(
+                "input not decoded: restored the state after 14 of 14 units "
+                "from the cache"),
+            std::string::npos)
+      << warm.ToString();
+
+  // Partial hit: the fifteenth unit runs on the restored state.
+  obs::MetricsRegistry partial_io;
+  obs::InstallGlobalMetrics(&partial_io);
+  decodes = 0;
+  RunReport partial;
+  EXPECT_EQ(run(fifteen_op_pipeline(), &decodes, &partial), want15);
+  obs::InstallGlobalMetrics(nullptr);
+  EXPECT_EQ(decodes, 0);
+  EXPECT_FALSE(partial.input_decoded);
+  EXPECT_EQ(partial.restored_units, fourteen);
+  EXPECT_EQ(partial.op_reports.size(), fourteen + 1);
+  EXPECT_EQ(partial_io.FindCounter("io.parse.rows"), nullptr);
+}
+
+TEST(ExecutorTest, CorruptEntriesFallBackShallowerThenDecode) {
+  std::string dir = TempDir("encoded_corrupt");
+  const std::string path = WriteNoisyJsonl(dir);
+  Executor::Options options;
+  options.use_cache = true;
+  options.cache_dir = dir + "/cache";
+  options.dataset_source_id = path;
+  const std::vector<uint64_t> keys =
+      EncodedKeyChain(path, FourteenOpPipeline());
+  auto run = [&](int* decodes, RunReport* report) {
+    return DatasetBytes(Executor(options).Run(EncodedInput(path, decodes),
+                                              OpPointers(FourteenOpPipeline()),
+                                              report));
+  };
+  int decodes = 0;
+  const std::string want = run(&decodes, nullptr);
+  ASSERT_EQ(decodes, 1);
+
+  // The deepest entry is damaged: the scan evicts it and restores the
+  // next-shallower one, still without decoding.
+  FlipMiddleByte(EntryPath(options.cache_dir, keys.back()));
+  decodes = 0;
+  RunReport shallower;
+  EXPECT_EQ(run(&decodes, &shallower), want);
+  EXPECT_EQ(decodes, 0);
+  EXPECT_FALSE(shallower.input_decoded);
+  EXPECT_EQ(shallower.restored_units, keys.size() - 2);
+
+  // Every entry is damaged: nothing restores, so the run decodes.
+  for (size_t i = 1; i < keys.size(); ++i) {
+    FlipMiddleByte(EntryPath(options.cache_dir, keys[i]));
+  }
+  decodes = 0;
+  RunReport fresh;
+  EXPECT_EQ(run(&decodes, &fresh), want);
+  EXPECT_EQ(decodes, 1);
+  EXPECT_TRUE(fresh.input_decoded);
+  EXPECT_EQ(fresh.restored_units, 0u);
+  EXPECT_EQ(fresh.cache_hits, 0u);
 }
 
 // --------------------------------------------------------- checkpoint ----

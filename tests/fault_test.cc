@@ -14,6 +14,7 @@
 #include "json/writer.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "ops/formatters/formatters.h"
 #include "ops/registry.h"
 #include "workload/generator.h"
 
@@ -588,8 +589,9 @@ TEST(CheckpointStoreTest, SharedWithCacheLosesNoCacheEntry) {
 
 TEST(CheckpointStoreTest, OlderBuildLayoutStartsFresh) {
   // Older builds kept a checkpoint.json manifest naming a
-  // checkpoint-<key>.djds blob. Neither is an entry: the run starts fresh
-  // and leaves both files alone.
+  // checkpoint-<key>.djds blob. No current key reaches either, so a run
+  // without --resume, which clears the directory first, removes both and
+  // their temp files, and starts fresh. Other files stay.
   Ops ops = GeneralEnOps();
   const std::vector<uint64_t> keys = KeyChain(ops);
   const std::string want = RunBytes(StoreOptions(), ops);
@@ -614,13 +616,63 @@ TEST(CheckpointStoreTest, OlderBuildLayoutStartsFresh) {
                               json::Write(json::Value(std::move(manifest))))
                   .ok());
   ASSERT_TRUE(data::WriteFile(dir + "/" + old_blob, blob.value()).ok());
+  ASSERT_TRUE(data::WriteFile(dir + "/checkpoint.json.tmp", "{").ok());
+  ASSERT_TRUE(data::WriteFile(dir + "/" + old_blob + ".tmp", "DJ").ok());
+  ASSERT_TRUE(data::WriteFile(dir + "/notes.txt", "kept").ok());
 
+  core::CacheManager(dir, /*compression=*/false).Clear();
   core::RunReport report;
   EXPECT_EQ(RunBytes(CheckpointOptions(dir), ops, &report), want);
   EXPECT_FALSE(report.resumed_from_checkpoint);
   EXPECT_EQ(report.op_reports.size(), ops.size());
-  EXPECT_EQ(FilesIn(dir), Sorted({EntryName(keys.back(), ".djds"), old_blob,
-                                  "checkpoint.json"}));
+  EXPECT_EQ(FilesIn(dir),
+            Sorted({EntryName(keys.back(), ".djds"), "notes.txt"}));
+}
+
+// The checkpoint of an input that was edited since belongs to other rows:
+// --resume must start fresh. The input is read as raw bytes, as dj_process
+// reads it, so its key follows its content.
+TEST(CheckpointStoreTest, EditedInputStartsFresh) {
+  Ops ops = GeneralEnOps();
+  std::string dir = TempDir("edited_input");
+  const std::string input = dir + "/in.jsonl";
+  auto run = [&](const core::Executor::Options& opts,
+                 core::RunReport* report) {
+    auto bytes = data::ReadFile(input);
+    EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+    auto out = core::Executor(opts).Run(
+        core::RunInput::Encoded(bytes.ok() ? std::move(bytes).value() : "",
+                                ops::DecoderFor(input)),
+        core::OpPointers(ops), report);
+    EXPECT_TRUE(out.ok() || out.status().code() == StatusCode::kAborted)
+        << out.status().ToString();
+    return out.ok() ? data::SerializeDataset(out.value(), nullptr, 1) : "";
+  };
+  core::Executor::Options opts = CheckpointOptions(dir + "/ckpt");
+  opts.dataset_source_id = input;
+
+  // A run over the original input is killed before unit 3.
+  const std::string original = data::ToJsonl(SmallCorpus());
+  ASSERT_TRUE(data::WriteFile(input, original).ok());
+  core::Executor::Options crashing = opts;
+  crashing.faults = "exec.op_abort=n4";
+  EXPECT_EQ(run(crashing, nullptr), "");
+  FaultRegistry::Global().Reset();
+  ASSERT_EQ(FilesIn(dir + "/ckpt").size(), 1u);
+
+  // The input loses its first row; the resumed run must not continue from
+  // the old rows' state.
+  ASSERT_TRUE(
+      data::WriteFile(input, original.substr(original.find('\n') + 1)).ok());
+  core::Executor::Options no_store = StoreOptions();
+  no_store.dataset_source_id = input;
+  const std::string want = run(no_store, nullptr);
+  ASSERT_NE(want, "");
+  core::RunReport report;
+  EXPECT_EQ(run(opts, &report), want);
+  EXPECT_FALSE(report.resumed_from_checkpoint);
+  EXPECT_TRUE(report.input_decoded);
+  EXPECT_EQ(report.op_reports.size(), ops.size());
 }
 
 // Seed-deterministic probabilistic kills at the executor level: the same

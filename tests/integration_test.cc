@@ -149,6 +149,85 @@ TEST(IntegrationTest, RerunIsFullyCached) {
   EXPECT_EQ(r2.cache_hits, 2u);
 }
 
+// Runs `recipe` over the file at its dataset_path as dj_process does: the
+// executor gets the raw bytes, keys them by content and decodes them only
+// when no stored state restores. Returns the output as JSONL.
+std::string RunFromFile(const core::Recipe& recipe,
+                        core::RunReport* report = nullptr) {
+  auto ops = core::BuildOps(recipe, ops::OpRegistry::Global());
+  EXPECT_TRUE(ops.ok()) << ops.status().ToString();
+  auto bytes = data::ReadFile(recipe.dataset_path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  if (!ops.ok() || !bytes.ok()) return "";
+  auto out = core::Executor(core::Executor::OptionsFromRecipe(recipe))
+                 .Run(core::RunInput::Encoded(
+                          std::move(bytes).value(),
+                          ops::DecoderFor(recipe.dataset_path)),
+                      core::OpPointers(ops.value()), report);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  return out.ok() ? data::ToJsonl(out.value()) : "";
+}
+
+core::Recipe CachedLowerCaseRecipe(const std::string& dir,
+                                   const std::string& input) {
+  auto recipe = core::Recipe::FromString(
+      "dataset_path: " + input + "\nuse_cache: true\ncache_dir: " + dir +
+      "/cache\nprocess:\n  - lower_case_mapper:\n");
+  EXPECT_TRUE(recipe.ok()) << recipe.status().ToString();
+  return recipe.ok() ? std::move(recipe).value() : core::Recipe{};
+}
+
+// An input overwritten at the same path is new content: the rerun must not
+// restore the cached state of the old rows.
+TEST(IntegrationTest, InputEditedInPlaceMissesTheCache) {
+  std::string dir = TempDir("edited_input");
+  const std::string input = dir + "/in.jsonl";
+  ASSERT_TRUE(data::WriteFile(input,
+                              "{\"text\": \"First Row\"}\n"
+                              "{\"text\": \"Second Row\"}\n")
+                  .ok());
+  core::Recipe recipe = CachedLowerCaseRecipe(dir, input);
+  core::RunReport cold;
+  EXPECT_EQ(RunFromFile(recipe, &cold),
+            "{\"text\":\"first row\"}\n{\"text\":\"second row\"}\n");
+
+  ASSERT_TRUE(
+      data::WriteFile(input, "{\"text\": \"An Edited Row\"}\n").ok());
+  core::RunReport rerun;
+  const std::string got = RunFromFile(recipe, &rerun);
+  core::Recipe no_cache = recipe;
+  no_cache.use_cache = false;
+  EXPECT_EQ(got, RunFromFile(no_cache));
+  EXPECT_EQ(got, "{\"text\":\"an edited row\"}\n");
+  EXPECT_EQ(rerun.cache_hits, 0u);
+  EXPECT_TRUE(rerun.input_decoded);
+}
+
+// txt and code formatters write the path into meta.source, so equal bytes
+// at two paths are two inputs.
+TEST(IntegrationTest, SameBytesAtTwoPathsKeyApart) {
+  std::string dir = TempDir("two_paths");
+  const std::string a = dir + "/a.txt";
+  const std::string b = dir + "/b.txt";
+  const std::string text = "Equal Bytes In Two Files";
+  ASSERT_TRUE(data::WriteFile(a, text).ok());
+  ASSERT_TRUE(data::WriteFile(b, text).ok());
+  const uint64_t digest = core::CacheManager::ContentDigest(text);
+  EXPECT_NE(core::CacheManager::InitialKey(a, "txt_formatter", digest),
+            core::CacheManager::InitialKey(b, "txt_formatter", digest));
+
+  core::RunReport report_a;
+  core::RunReport report_b;
+  const std::string out_a =
+      RunFromFile(CachedLowerCaseRecipe(dir, a), &report_a);
+  const std::string out_b =
+      RunFromFile(CachedLowerCaseRecipe(dir, b), &report_b);
+  EXPECT_EQ(report_b.cache_hits, 0u);
+  EXPECT_NE(out_a.find(a), std::string::npos) << out_a;
+  EXPECT_NE(out_b.find(b), std::string::npos) << out_b;
+  EXPECT_EQ(out_b.find(a), std::string::npos) << out_b;
+}
+
 // Data-in-the-loop: refined data trains a better reference model than raw
 // data at the same token budget — the Fig. 7 effect end-to-end.
 TEST(IntegrationTest, RefinedDataTrainsBetterModel) {

@@ -18,7 +18,10 @@
 #   8. observability smoke    trace + metrics round-trip — dj_trace_check
 #                             validates every span/instant/metric name
 #                             against srclint/manifest.json — plus the
-#                             binary-container round-trip, the fault-matrix
+#                             binary-container round-trip, a rerun after
+#                             the input is edited in place (content-keyed
+#                             cache) and a warm rerun that must not decode
+#                             its input, the fault-matrix
 #                             crash/resume smoke, a profiled run
 #                             (--require-profile) and an injected-stall
 #                             watchdog dump; then the perf gate:
@@ -174,6 +177,41 @@ EOF
   --no-verify
 cmp "${smoke_dir}/out.jsonl" "${smoke_dir}/roundtrip.jsonl"
 echo "round-trip byte-identical"
+
+echo "== content-keyed cache smoke (input edited in place, then rerun) =="
+# Cache keys start from a digest of the input's bytes, not its path. After
+# the input is overwritten with other rows, a cached rerun must export what
+# a no-cache run of the edited file exports; a warm rerun of the unchanged
+# file must export the same bytes and report that it did not decode it.
+cache_in="${smoke_dir}/cache_in.jsonl"
+cache_dir="${smoke_dir}/content_cache"
+dedup_smoke() {
+  "${build_dir}/tools/dj_process" \
+    --recipe "${repo_dir}/configs/recipes/minimal_dedup.yaml" \
+    --input "${cache_in}" "$@"
+}
+cp "${smoke_dir}/in.jsonl" "${cache_in}"
+dedup_smoke --output "${smoke_dir}/cache_old.jsonl" --cache-dir "${cache_dir}"
+for i in $(seq 1 25); do
+  printf '{"text": "Edited doc %d: other rows about %d slow turtles on a hill."}\n' \
+    "$i" "$((i % 4))"
+done > "${cache_in}"
+dedup_smoke --output "${smoke_dir}/cache_ref.jsonl"
+dedup_smoke --output "${smoke_dir}/cache_edited.jsonl" --cache-dir "${cache_dir}"
+if cmp -s "${smoke_dir}/cache_old.jsonl" "${smoke_dir}/cache_ref.jsonl"; then
+  echo "check.sh: the edited input exports the old rows' bytes" >&2
+  exit 1
+fi
+cmp "${smoke_dir}/cache_ref.jsonl" "${smoke_dir}/cache_edited.jsonl"
+dedup_smoke --output "${smoke_dir}/cache_warm.jsonl" --cache-dir "${cache_dir}" \
+  > "${smoke_dir}/cache_warm.txt"
+cmp "${smoke_dir}/cache_ref.jsonl" "${smoke_dir}/cache_warm.jsonl"
+if ! grep -q "^input not decoded" "${smoke_dir}/cache_warm.txt"; then
+  cat "${smoke_dir}/cache_warm.txt" >&2
+  echo "check.sh: a warm rerun decoded its input" >&2
+  exit 1
+fi
+echo "edited input recomputed, warm rerun byte-identical without a decode"
 
 echo "== fault-matrix smoke (crash at an OP boundary, resume, compare) =="
 # Three seeds: each run is killed at the second OP boundary via the

@@ -1,6 +1,8 @@
 // dj_process: zero-code recipe runner (the paper's "Zero-Code Processing"
-// path, Sec. 6.3). Loads a dataset, runs a recipe, exports the result, and
-// prints the per-OP report plus an optional trace summary.
+// path, Sec. 6.3). Reads a dataset, runs a recipe, exports the result, and
+// prints the per-OP report plus an optional trace summary. The input is
+// decoded inside the run, and only when no cache or checkpoint entry
+// restores: cache and checkpoint keys start from a digest of its bytes.
 //
 // Usage:
 //   dj_process --recipe recipe.yaml [--input in.jsonl] [--output out.jsonl]
@@ -297,22 +299,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Dedicated I/O pool for load/export; the executor spins up its own
-  // worker pool for the OP loop from the same num_workers setting.
+  // Dedicated I/O pool for export; the executor spins up its own worker
+  // pool for decoding and the OP loop from the same num_workers setting.
   std::optional<dj::ThreadPool> io_pool;
   if (recipe.value().num_workers > 1) {
     io_pool.emplace(static_cast<size_t>(recipe.value().num_workers));
   }
   dj::ThreadPool* io_pool_ptr = io_pool ? &*io_pool : nullptr;
 
-  auto dataset =
-      dj::ops::LoadDataset(recipe.value().dataset_path, io_pool_ptr);
-  if (!dataset.ok()) {
+  // Only the read happens here: the row count is unknown until the run
+  // decodes, which a restored state skips.
+  auto input_bytes = dj::data::ReadFile(recipe.value().dataset_path);
+  if (!input_bytes.ok()) {
     std::fprintf(stderr, "load error: %s\n",
-                 dataset.status().ToString().c_str());
+                 input_bytes.status().ToString().c_str());
     return 1;
   }
-  std::printf("loaded %zu samples from %s\n", dataset.value().NumRows(),
+  std::printf("read %zu bytes from %s\n", input_bytes.value().size(),
               recipe.value().dataset_path.c_str());
 
   auto ops = dj::core::BuildOps(recipe.value(), dj::ops::OpRegistry::Global());
@@ -423,8 +426,11 @@ int main(int argc, char** argv) {
     return 0;
   };
 
-  auto refined =
-      executor.Run(std::move(dataset).value(), ops.value(), &report);
+  auto refined = executor.Run(
+      dj::core::RunInput::Encoded(
+          std::move(input_bytes).value(),
+          dj::ops::DecoderFor(recipe.value().dataset_path)),
+      dj::core::OpPointers(ops.value()), &report);
   if (!refined.ok()) {
     std::fprintf(stderr, "run error: %s\n",
                  refined.status().ToString().c_str());
