@@ -660,13 +660,18 @@ Result<Dataset> ParseJsonl(std::string_view content, ThreadPool* pool) {
   return out;
 }
 
-Result<Dataset> ReadJsonl(const std::string& path, ThreadPool* pool) {
-  DJ_ASSIGN_OR_RETURN(std::string content, ReadFile(path));
+Result<Dataset> ParseJsonlFile(std::string_view path, std::string_view content,
+                               ThreadPool* pool) {
   auto r = ParseJsonl(content, pool);
   if (!r.ok()) {
-    return Status::Corruption(path + ": " + r.status().message());
+    return Status::Corruption(std::string(path) + ": " + r.status().message());
   }
   return r;
+}
+
+Result<Dataset> ReadJsonl(const std::string& path, ThreadPool* pool) {
+  DJ_ASSIGN_OR_RETURN(std::string content, ReadFile(path));
+  return ParseJsonlFile(path, content, pool);
 }
 
 namespace {
@@ -924,14 +929,7 @@ Status ExportDataset(const Dataset& dataset, const std::string& path,
 
 Result<Dataset> DecodeImport(std::string_view path, std::string_view bytes,
                              ThreadPool* pool) {
-  if (EndsWith(path, ".jsonl")) {
-    auto rows = ParseJsonl(bytes, pool);
-    if (!rows.ok()) {
-      return Status::Corruption(std::string(path) + ": " +
-                                rows.status().message());
-    }
-    return rows;
-  }
+  if (EndsWith(path, ".jsonl")) return ParseJsonlFile(path, bytes, pool);
   if (EndsWith(path, ".djds.djlz")) {
     DJ_ASSIGN_OR_RETURN(std::string blob,
                         compress::DecompressFrame(bytes, pool));

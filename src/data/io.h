@@ -24,6 +24,11 @@ Status WriteFile(const std::string& path, std::string_view content);
 Result<Dataset> ParseJsonl(std::string_view content,
                            ThreadPool* pool = nullptr);
 
+/// ParseJsonl of the contents of the file at `path`; an error is
+/// Corruption prefixed with the path.
+Result<Dataset> ParseJsonlFile(std::string_view path, std::string_view content,
+                               ThreadPool* pool = nullptr);
+
 /// Reads a .jsonl file into a dataset.
 Result<Dataset> ReadJsonl(const std::string& path, ThreadPool* pool = nullptr);
 

@@ -75,12 +75,7 @@ JsonlFormatter::JsonlFormatter(const json::Value& config)
 
 Result<data::Dataset> JsonlFormatter::LoadFromString(std::string_view content,
                                                      std::string_view origin) {
-  auto r = data::ParseJsonl(content);
-  if (!r.ok()) {
-    return Status::Corruption(std::string(origin) + ": " +
-                              r.status().message());
-  }
-  return r;
+  return data::ParseJsonlFile(origin, content);
 }
 
 // -------------------------------------------------------- JsonFormatter --
@@ -247,14 +242,8 @@ DatasetDecoder DecoderFor(const std::string& path) {
   }
   std::string suffix = SuffixOf(path);
   if (suffix == ".jsonl" || suffix == ".ndjson") {
-    return {"jsonl", [path](std::string_view bytes, ThreadPool* pool)
-                         -> Result<data::Dataset> {
-              auto rows = data::ParseJsonl(bytes, pool);
-              if (!rows.ok()) {
-                return Status::Corruption(path + ": " +
-                                          rows.status().message());
-              }
-              return rows;
+    return {"jsonl", [path](std::string_view bytes, ThreadPool* pool) {
+              return data::ParseJsonlFile(path, bytes, pool);
             }};
   }
   if (suffix == ".json") return FormatterDecoder<JsonFormatter>(path);
